@@ -44,6 +44,8 @@ that trigger.
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.fastpath import FastPathConfig, TransitionPruner
 from repro.errors import AnalysisError
 from repro.hardening.spec import HardeningKind
@@ -56,7 +58,7 @@ from repro.obs.metrics import metrics
 from repro.obs.trace import annotate, span as trace_span
 from repro.comm import default_comm
 from repro.sched.comm import CommModel
-from repro.sched.jobs import JobId, JobSet, unroll
+from repro.sched.jobs import JobSet, unroll
 from repro.sched.priority import assign_priorities
 from repro.sched.wcrt import ScheduleBounds, SchedBackend, WindowAnalysisBackend
 
@@ -258,6 +260,28 @@ class MixedCriticalityAnalysis:
         pruner = (
             TransitionPruner(base) if fast is not None and fast.prune else None
         )
+        plan = _TransitionPlan(
+            hardened,
+            architecture,
+            mapping,
+            base,
+            normal,
+            dropped_set,
+            self._zero_dropped_bcet,
+        )
+        surviving_graphs = [
+            graph.name
+            for graph in hardened.applications.graphs
+            if graph.name not in dropped_set
+        ]
+        surviving_tasks = [
+            task.name
+            for task in hardened.applications.all_tasks
+            if hardened.source.owner_of(
+                hardened.derived_to_primary[task.name]
+            ).name
+            not in dropped_set
+        ]
         transitions_pruned = 0
         transitions: List[TransitionInfo] = []
         for trigger, instance, window in self._enumerate_transitions(
@@ -268,43 +292,27 @@ class MixedCriticalityAnalysis:
                 if instance is None
                 else f"{trigger.primary}@{instance}"
             )
-            overrides = self._transition_overrides(
-                hardened,
-                architecture,
-                mapping,
-                base,
-                normal,
-                trigger,
-                instance,
-                window,
-                dropped_set,
-            )
+            bcet, wcet = plan.bounds(trigger, instance, window)
             if pruner is not None:
-                if pruner.is_dominated(overrides):
+                if pruner.is_dominated(bcet, wcet):
                     transitions_pruned += 1
                     continue
-                pruner.record(overrides)
+                pruner.record(bcet, wcet)
             with trace_span("analysis.transition", trigger=label):
                 bounds = self._sched(
-                    base.with_bounds(overrides), seed=warm_seed
+                    base.with_bound_arrays(bcet, wcet), seed=warm_seed
                 )
             transition_wcrt: Dict[str, float] = {}
-            for graph in hardened.applications.graphs:
-                if graph.name in dropped_set:
-                    continue
-                wcrt = bounds.graph_wcrt(graph.name)
-                transition_wcrt[graph.name] = wcrt
-                if wcrt > graph_wcrt[graph.name]:
-                    graph_wcrt[graph.name] = wcrt
-                    worst_transition[graph.name] = label
-            for task in hardened.applications.all_tasks:
-                if hardened.source.owner_of(
-                    hardened.derived_to_primary[task.name]
-                ).name in dropped_set:
-                    continue
-                finish = bounds.task_max_finish(task.name)
-                if finish > task_completion[task.name]:
-                    task_completion[task.name] = finish
+            for name in surviving_graphs:
+                wcrt = bounds.graph_wcrt(name)
+                transition_wcrt[name] = wcrt
+                if wcrt > graph_wcrt[name]:
+                    graph_wcrt[name] = wcrt
+                    worst_transition[name] = label
+            for name in surviving_tasks:
+                finish = bounds.task_max_finish(name)
+                if finish > task_completion[name]:
+                    task_completion[name] = finish
             transitions.append(
                 TransitionInfo(
                     trigger_primary=trigger.primary,
@@ -442,99 +450,122 @@ class MixedCriticalityAnalysis:
                     ).max_finish
                     yield trigger, instance, (min_start, max_finish)
 
-    def _transition_overrides(
+
+class _TransitionPlan:
+    """Per-job arrays from which Algorithm 1 builds each transition's bounds.
+
+    Everything that does not depend on the transition — each job's
+    category (dropped graph, time-redundant, passive copy), its Eq. (1)
+    worst case and its activated-copy WCET — is computed once per
+    analysis; :meth:`bounds` then classifies all jobs of one transition
+    with a handful of vector operations (lines 12–30 of Algorithm 1).
+    """
+
+    def __init__(
         self,
         hardened: HardenedSystem,
         architecture: Architecture,
         mapping: Mapping,
         base: JobSet,
         normal: ScheduleBounds,
+        dropped_set: FrozenSet[str],
+        zero_dropped_bcet: bool,
+    ):
+        jobs = base.jobs
+        count = len(jobs)
+        self._base = base
+        self._bcet = base.bcet
+        self._wcet = base.wcet
+        self._normal_min_start = normal.min_start
+        self._normal_max_finish = normal.max_finish
+        self._hardened = hardened
+
+        inflation: Dict[str, float] = {}
+        activated: Dict[str, float] = {}
+        in_dropped = np.zeros(count, dtype=bool)
+        redundant = np.zeros(count, dtype=bool)
+        passive = np.zeros(count, dtype=bool)
+        #: Critical-state WCET of time-redundant jobs (Eq. (1)).
+        self._inflated = np.array(self._wcet)
+        #: WCET of passive copies once requested.
+        self._activated = np.zeros(count)
+        for job in jobs:
+            if not job.analyzed:
+                continue
+            name = job.task_name
+            in_dropped[job.index] = job.graph_name in dropped_set
+            if hardened.is_time_redundant(name):
+                if name not in inflation:
+                    inflation[name] = hardened.critical_inflation(name)
+                redundant[job.index] = True
+                self._inflated[job.index] = job.wcet * inflation[name]
+            if hardened.is_passive(name):
+                if name not in activated:
+                    activated[name] = _activated_wcet(
+                        hardened, architecture, mapping, name
+                    )
+                passive[job.index] = True
+                self._activated[job.index] = activated[name]
+        self._dropped = in_dropped
+        self._redundant = redundant & ~in_dropped
+        self._passive = passive & ~redundant & ~in_dropped
+        low = np.zeros(count) if zero_dropped_bcet else self._bcet
+        self._dropped_low = np.minimum(low, self._wcet)
+
+    def bounds(
+        self,
         trigger: CriticalTrigger,
         instance: Optional[int],
         window: Tuple[float, float],
-        dropped_set: FrozenSet[str],
-    ) -> Dict[JobId, Tuple[float, float]]:
-        """Bounds overrides of one outer-loop iteration (lines 12–30).
-
-        Building the override map separately from the ``sched()`` call
-        lets the fast path prune dominated transitions before paying for
-        the back-end run.
-        """
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(bcet, wcet)`` arrays of one outer-loop iteration, classified
+        as in the module docs; jobs finishing before ``minStart_v`` keep
+        their nominal bounds (passive copies are ``[0, 0]`` in ``base``)."""
         min_start_v, max_finish_v = window
-        overrides: Dict[JobId, Tuple[float, float]] = {}
+        affected = ~(self._normal_max_finish < min_start_v)
+        bcet = np.array(self._bcet)
+        wcet = np.array(self._wcet)
 
-        trigger_jobs = self._trigger_overrides(
-            hardened, architecture, mapping, base, trigger, instance, overrides
-        )
+        dropped = affected & self._dropped
+        gone = dropped & (self._normal_min_start > max_finish_v)
+        maybe = dropped & ~gone
+        bcet[maybe] = self._dropped_low[maybe]
+        bcet[gone] = 0.0
+        wcet[gone] = 0.0
+        redundant = affected & self._redundant
+        wcet[redundant] = self._inflated[redundant]
+        passive = affected & self._passive
+        bcet[passive] = 0.0
+        wcet[passive] = self._activated[passive]
 
-        for job in base.analyzed_jobs:
-            if job.job_id in trigger_jobs:
-                continue
-            job_bounds = normal.bounds_at(job.index)
-            if job_bounds.max_finish < min_start_v:
-                # Normal state: keep nominal bounds (lines 13–17; passive
-                # copies are already [0, 0] in the base job set).
-                continue
-            if job.graph_name in dropped_set:
-                if job_bounds.min_start > max_finish_v:
-                    overrides[job.job_id] = (0.0, 0.0)  # certainly dropped
-                else:  # transition mode: may run or be dropped
-                    low = 0.0 if self._zero_dropped_bcet else job.bcet
-                    overrides[job.job_id] = (min(low, job.wcet), job.wcet)
-            else:
-                task_name = job.task_name
-                if hardened.is_time_redundant(task_name):
-                    inflation = hardened.critical_inflation(task_name)
-                    overrides[job.job_id] = (job.bcet, job.wcet * inflation)
-                elif hardened.is_passive(task_name):
-                    overrides[job.job_id] = (
-                        0.0,
-                        self._activated_wcet(hardened, architecture, mapping, task_name),
-                    )
-        return overrides
-
-    def _trigger_overrides(
-        self,
-        hardened: HardenedSystem,
-        architecture: Architecture,
-        mapping: Mapping,
-        base: JobSet,
-        trigger: CriticalTrigger,
-        instance: Optional[int],
-        overrides: Dict[JobId, Tuple[float, float]],
-    ) -> FrozenSet[JobId]:
-        """Apply the triggering task's critical bounds; return its job ids."""
-        handled: List[JobId] = []
         if trigger.kind is not HardeningKind.PASSIVE:  # time-redundant trigger
-            inflation = hardened.critical_inflation(trigger.primary)
-            for job in base.analyzed_jobs_of_task(trigger.primary):
-                if instance is not None and job.instance != instance:
-                    continue
-                overrides[job.job_id] = (job.bcet, job.wcet * inflation)
-                handled.append(job.job_id)
+            own = self._jobs_of(trigger.primary, instance)
+            bcet[own] = self._bcet[own]
+            wcet[own] = self._inflated[own]
         else:  # passive replication: the requested copies become live
-            group = hardened.replica_groups[trigger.primary]
-            for name in group:
-                if name not in hardened.passive_tasks:
-                    continue
-                for job in base.analyzed_jobs_of_task(name):
-                    if instance is not None and job.instance != instance:
-                        continue
-                    overrides[job.job_id] = (
-                        0.0,
-                        self._activated_wcet(hardened, architecture, mapping, name),
-                    )
-                    handled.append(job.job_id)
-        return frozenset(handled)
+            for name in self._hardened.replica_groups[trigger.primary]:
+                if self._hardened.is_passive(name):
+                    own = self._jobs_of(name, instance)
+                    bcet[own] = 0.0
+                    wcet[own] = self._activated[own]
+        return bcet, wcet
 
-    def _activated_wcet(
-        self,
-        hardened: HardenedSystem,
-        architecture: Architecture,
-        mapping: Mapping,
-        task_name: str,
-    ) -> float:
-        """Processor-scaled WCET of a passive copy when it is requested."""
-        task = hardened.applications.task(task_name)
-        processor = architecture.processor(mapping[task_name])
-        return processor.scale_time(task.wcet)
+    def _jobs_of(self, task_name: str, instance: Optional[int]) -> List[int]:
+        """Indices of the task's first-hyperperiod jobs (one instance)."""
+        return [
+            job.index
+            for job in self._base.analyzed_jobs_of_task(task_name)
+            if instance is None or job.instance == instance
+        ]
+
+
+def _activated_wcet(
+    hardened: HardenedSystem,
+    architecture: Architecture,
+    mapping: Mapping,
+    task_name: str,
+) -> float:
+    """Processor-scaled WCET of a passive copy when it is requested."""
+    task = hardened.applications.task(task_name)
+    processor = architecture.processor(mapping[task_name])
+    return processor.scale_time(task.wcet)

@@ -84,15 +84,13 @@ class Evaluator:
         self._problem = problem
         if analysis is None:
             # DSE hot path: per-task trigger granularity (conservative,
-            # one back-end run per hardened task) on the vectorised
-            # back-end, with the full fast path — GA candidates that
-            # decode to previously-seen job sets hit the memo cache, and
-            # dominated transitions are pruned before the back-end runs.
+            # one back-end run per hardened task) with the full fast path —
+            # GA candidates that decode to previously-seen job sets hit the
+            # memo cache, and dominated transitions are pruned before the
+            # back-end runs.
             from repro.core.fastpath import FastPathConfig
-            from repro.sched.fast import FastWindowAnalysisBackend
 
             analysis = MixedCriticalityAnalysis(
-                backend=FastWindowAnalysisBackend(),
                 granularity="task",
                 comm=problem.comm_model(),
                 fast_path=FastPathConfig.for_dse(),

@@ -65,12 +65,8 @@ class AnalysisMethod(Protocol):
 
 def make_backend(name: str) -> SchedBackend:
     """Instantiate a ``sched()`` back-end by registry name."""
-    if name == "window":
+    if name in ("window", "fast"):  # "fast" is the historical alias
         return WindowAnalysisBackend()
-    if name == "fast":
-        from repro.sched.fast import FastWindowAnalysisBackend
-
-        return FastWindowAnalysisBackend()
     if name == "holistic":
         from repro.sched.holistic import HolisticAnalysisBackend
 
@@ -153,13 +149,13 @@ def make_dse_evaluator(problem, backend: Optional[str] = None):
     """The GA's design-point evaluator for a named sched back-end.
 
     One validation path for CLI, HTTP, and the api facade: unknown names
-    raise with the registry listed, and ``None``/``"fast"`` build the
-    same evaluator the Explorer would default to (task granularity, the
-    DSE fast path, the problem's communication model).
+    raise with the registry listed, and ``None``/``"fast"``/``"window"``
+    build the same evaluator the Explorer would default to (task
+    granularity, the DSE fast path, the problem's communication model).
     """
     from repro.core.evaluator import Evaluator
 
-    if backend is None or backend == "fast":
+    if backend in (None, "fast", "window"):
         return Evaluator(problem)
     if backend not in SCHED_BACKENDS:
         raise AnalysisError(

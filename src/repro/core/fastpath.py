@@ -21,7 +21,7 @@ most of that work redundant:
    :class:`~repro.sched.holistic.HolisticAnalysisBackend` owns the
    soundness check; this module only threads the seed through.
 
-3. **Pruning** — a transition whose per-job override intervals are all
+3. **Pruning** — a transition whose per-job bound intervals are all
    *contained* in those of an already-analyzed transition cannot yield a
    larger WCRT under any back-end that is monotone in (wcet up, bcet
    down) — which both the window and holistic back-ends are.  Skipping it
@@ -34,10 +34,12 @@ evaluator opts in via :meth:`FastPathConfig.for_dse`.
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
+
+import numpy as np
 
 from repro.errors import AnalysisError
-from repro.sched.jobs import JobId, JobSet
+from repro.sched.jobs import JobSet
 from repro.sched.wcrt import ScheduleBounds
 
 __all__ = [
@@ -130,40 +132,44 @@ class TransitionPruner:
     """Skips transitions dominated by an already-analyzed one.
 
     Transition *B* is dominated by analyzed transition *A* when, for
-    every first-hyperperiod job, *A*'s effective ``[bcet, wcet]``
-    interval contains *B*'s (override if present, nominal base bounds
-    otherwise).  For a back-end monotone in (wcet up, bcet down), *A*'s
-    per-job ``max_finish`` then dominates *B*'s pointwise, so *B* can
-    never raise a graph WCRT, a task-completion bound, or become a
-    worst-transition label after *A* has been folded in.  Domination is
-    only checked against transitions analyzed *earlier in the same run*,
-    which preserves the fold order of Algorithm 1's outer loop exactly.
+    every job, *A*'s effective ``[bcet, wcet]`` interval contains *B*'s.
+    For a back-end monotone in (wcet up, bcet down), *A*'s per-job
+    ``max_finish`` then dominates *B*'s pointwise, so *B* can never raise
+    a graph WCRT, a task-completion bound, or become a worst-transition
+    label after *A* has been folded in.  Domination is only checked
+    against transitions analyzed *earlier in the same run*, which
+    preserves the fold order of Algorithm 1's outer loop exactly.
+
+    Transitions are given as full per-job ``(bcet, wcet)`` arrays (see
+    :meth:`~repro.sched.jobs.JobSet.with_bound_arrays`); the recorded
+    ones are rows of two matrices, so a check is two vector comparisons.
     """
 
     def __init__(self, base: JobSet):
-        self._nominal: Dict[JobId, Tuple[float, float]] = {
-            job.job_id: (job.bcet, job.wcet) for job in base.analyzed_jobs
-        }
-        self._analyzed: List[Dict[JobId, Tuple[float, float]]] = []
+        self._width = len(base)
+        self._rows = 0
+        self._bcet = np.empty((0, self._width))
+        self._wcet = np.empty((0, self._width))
 
-    def is_dominated(self, overrides: Dict[JobId, Tuple[float, float]]) -> bool:
-        """Whether an analyzed transition's intervals cover ``overrides``."""
-        nominal = self._nominal
-        for accepted in self._analyzed:
-            dominated = True
-            for job_id in accepted.keys() | overrides.keys():
-                a_lo, a_hi = accepted.get(job_id) or nominal[job_id]
-                b_lo, b_hi = overrides.get(job_id) or nominal[job_id]
-                if a_lo > b_lo or a_hi < b_hi:
-                    dominated = False
-                    break
-            if dominated:
-                return True
-        return False
+    def is_dominated(self, bcet: np.ndarray, wcet: np.ndarray) -> bool:
+        """Whether an analyzed transition's intervals cover ``bcet``/``wcet``."""
+        rows = self._rows
+        if not rows:
+            return False
+        covers = (self._bcet[:rows] <= bcet).all(axis=1) & (
+            self._wcet[:rows] >= wcet
+        ).all(axis=1)
+        return bool(covers.any())
 
-    def record(self, overrides: Dict[JobId, Tuple[float, float]]) -> None:
+    def record(self, bcet: np.ndarray, wcet: np.ndarray) -> None:
         """Register an analyzed transition as a future dominator."""
-        self._analyzed.append(dict(overrides))
+        if self._rows == len(self._bcet):
+            capacity = max(8, 2 * self._rows)
+            self._bcet = np.resize(self._bcet, (capacity, self._width))
+            self._wcet = np.resize(self._wcet, (capacity, self._width))
+        self._bcet[self._rows] = bcet
+        self._wcet[self._rows] = wcet
+        self._rows += 1
 
 
 class FastPathConfig:

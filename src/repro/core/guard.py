@@ -11,8 +11,9 @@ exception as a violation, with
 * a **bounded retry** for transient failures,
 * a **wall-clock soft budget** per evaluation,
 * **graceful degradation**: when the configured backend raises or blows
-  its budget, the design is re-evaluated once with the cheap
-  :class:`~repro.sched.fast.FastWindowAnalysisBackend` before giving up,
+  its budget, the design is re-evaluated once with the default
+  evaluator — task granularity on the numpy
+  :class:`~repro.sched.wcrt.WindowAnalysisBackend` — before giving up,
   and the substitution is recorded in ``EvaluationResult.fallback``;
 * a **quarantine log**: each guarded failure appends one JSON line
   (chromosome/context, design JSON, traceback) so poison points stay
@@ -348,7 +349,7 @@ class GuardedEvaluator:
         )
 
     def _fallback(self) -> Evaluator:
-        """The lazily built degraded evaluator (fast back-end defaults)."""
+        """The lazily built degraded evaluator (default evaluator settings)."""
         with self._fallback_lock:
             if self._fallback_evaluator is None:
                 self._fallback_evaluator = Evaluator(self._evaluator.problem)

@@ -1,240 +1,14 @@
-"""Vectorised variant of the window-based schedulability back-end.
+"""Compatibility name for the window back-end.
 
-Implements exactly the same monotone Jacobi iteration as
-:class:`repro.sched.wcrt.WindowAnalysisBackend` — per-job interference
-bound capped by the per-batch work-conservation bound — but evaluates
-each sweep with numpy over precomputed index arrays.  Results are
-numerically identical (the same operations in the same order per sweep);
-the speedup grows with job count and matters inside the DSE loop, where
-Algorithm 1 re-runs the back-end once per transition per candidate.
-
-Use it anywhere a :class:`~repro.sched.wcrt.SchedBackend` is accepted::
-
-    analysis = MixedCriticalityAnalysis(backend=FastWindowAnalysisBackend())
+The window analysis has a single implementation,
+:class:`repro.sched.wcrt.WindowAnalysisBackend`, which is numpy-based.
+``"fast"`` stays an accepted back-end name (CLI flags, HTTP payloads,
+persisted jobs), and :class:`FastWindowAnalysisBackend` is the same class
+under its historical name.
 """
 
-from typing import List
+from repro.sched.wcrt import WindowAnalysisBackend
 
-import numpy as np
+FastWindowAnalysisBackend = WindowAnalysisBackend
 
-from repro.errors import AnalysisError
-from repro.obs.trace import span as trace_span
-from repro.sched.jobs import JobSet
-from repro.sched.wcrt import ScheduleBounds
-
-
-class _Precomputed:
-    """Index arrays shared by every analysis of structurally-equal job sets."""
-
-    def __init__(self, jobset: JobSet):
-        jobs = jobset.jobs
-        count = len(jobs)
-        self.count = count
-        self.release = np.array([j.release for j in jobs])
-        self.order = list(jobset.topo_order)
-
-        # Predecessor edges as flat arrays (per consumer).
-        pred_src: List[int] = []
-        pred_dst: List[int] = []
-        pred_comm_best: List[float] = []
-        pred_comm_worst: List[float] = []
-        for job in jobs:
-            for src, best, worst, _on_demand in job.preds:
-                pred_src.append(src)
-                pred_dst.append(job.index)
-                pred_comm_best.append(best)
-                pred_comm_worst.append(worst)
-        self.pred_src = np.array(pred_src, dtype=np.int64)
-        self.pred_dst = np.array(pred_dst, dtype=np.int64)
-        self.pred_comm_best = np.array(pred_comm_best)
-        self.pred_comm_worst = np.array(pred_comm_worst)
-
-        # Interference pairs: (victim, interferer).
-        hp_victim: List[int] = []
-        hp_other: List[int] = []
-        for index in range(count):
-            for other in jobset.higher_priority_on_same_pe(index):
-                hp_victim.append(index)
-                hp_other.append(other)
-        self.hp_victim = np.array(hp_victim, dtype=np.int64)
-        self.hp_other = np.array(hp_other, dtype=np.int64)
-
-        # Batch structure, flattened for ufunc.at reductions.
-        batches = jobset.batches()
-        self.batch_count = len(batches)
-        member_flat: List[int] = []
-        member_batch: List[int] = []
-        ext_src: List[int] = []
-        ext_comm: List[float] = []
-        ext_batch: List[int] = []
-        int_other: List[int] = []
-        int_batch: List[int] = []
-        releases: List[float] = []
-        for b, batch in enumerate(batches):
-            releases.append(batch.release)
-            for member in batch.members:
-                member_flat.append(member)
-                member_batch.append(b)
-            for src, comm in batch.external_preds:
-                ext_src.append(src)
-                ext_comm.append(comm)
-                ext_batch.append(b)
-            for other in batch.interferers:
-                int_other.append(other)
-                int_batch.append(b)
-        self.member_flat = np.array(member_flat, dtype=np.int64)
-        self.member_batch = np.array(member_batch, dtype=np.int64)
-        self.ext_src = np.array(ext_src, dtype=np.int64)
-        self.ext_comm = np.array(ext_comm)
-        self.ext_batch = np.array(ext_batch, dtype=np.int64)
-        self.int_other = np.array(int_other, dtype=np.int64)
-        self.int_batch = np.array(int_batch, dtype=np.int64)
-        self.batch_release = np.array(releases)
-
-
-class FastWindowAnalysisBackend:
-    """Numpy implementation of the window analysis (see module docs)."""
-
-    def __init__(self, max_sweeps: int = 200):
-        if max_sweeps < 1:
-            raise AnalysisError("max_sweeps must be >= 1")
-        self._max_sweeps = max_sweeps
-        self._cache_key: object = None
-        self._cache_value: _Precomputed = None
-
-    def analyze(self, jobset: JobSet) -> ScheduleBounds:
-        """Compute bounds for every job of the set."""
-        pre = self._precomputed(jobset)
-        jobs = jobset.jobs
-        count = pre.count
-        bcet = np.array([j.bcet for j in jobs])
-        wcet = np.array([j.wcet for j in jobs])
-
-        # ---- best case: longest path, no interference ----
-        min_start = np.zeros(count)
-        min_finish = np.zeros(count)
-        for index in pre.order:
-            job = jobs[index]
-            earliest = job.release
-            for src, comm_best, _worst, _on_demand in job.preds:
-                arrival = min_finish[src] + comm_best
-                if arrival > earliest:
-                    earliest = arrival
-            min_start[index] = earliest
-            min_finish[index] = earliest + bcet[index]
-
-        # ---- worst case: monotone Jacobi iteration ----
-        max_finish = np.zeros(count)
-        for index in pre.order:  # interference-free initialisation
-            job = jobs[index]
-            latest = job.release
-            for src, _best, comm_worst, _on_demand in job.preds:
-                arrival = max_finish[src] + comm_worst
-                if arrival > latest:
-                    latest = arrival
-            max_finish[index] = latest + wcet[index]
-
-        # Batch window starts depend only on min_start (fixed per analyze).
-        batch_window_start = np.full(pre.batch_count, np.inf)
-        np.minimum.at(
-            batch_window_start, pre.member_batch, min_start[pre.member_flat]
-        )
-        batch_work = np.zeros(pre.batch_count)
-        np.add.at(batch_work, pre.member_batch, wcet[pre.member_flat])
-
-        converged = False
-        sweeps = 0
-        with trace_span("sched.fast.fixed_point", jobs=count) as fp_span:
-            for sweeps in range(1, self._max_sweeps + 1):
-                # Batch caps from the previous state (vectorised reductions).
-                batch_arrival = pre.batch_release.copy()
-                if pre.ext_src.size:
-                    np.maximum.at(
-                        batch_arrival,
-                        pre.ext_batch,
-                        max_finish[pre.ext_src] + pre.ext_comm,
-                    )
-                batch_window_end = np.full(pre.batch_count, -np.inf)
-                np.maximum.at(
-                    batch_window_end, pre.member_batch, max_finish[pre.member_flat]
-                )
-                batch_interference = np.zeros(pre.batch_count)
-                if pre.int_other.size:
-                    overlap = (
-                        min_start[pre.int_other] < batch_window_end[pre.int_batch]
-                    ) & (max_finish[pre.int_other] > batch_window_start[pre.int_batch])
-                    np.add.at(
-                        batch_interference,
-                        pre.int_batch,
-                        np.where(overlap, wcet[pre.int_other], 0.0),
-                    )
-                batch_bound = batch_arrival + batch_work + batch_interference
-                batch_cap = np.full(count, np.inf)
-                np.minimum.at(
-                    batch_cap, pre.member_flat, batch_bound[pre.member_batch]
-                )
-
-                # Per-job arrivals from the previous state.
-                arrival = pre.release.copy()
-                if pre.pred_src.size:
-                    candidate = max_finish[pre.pred_src] + pre.pred_comm_worst
-                    np.maximum.at(arrival, pre.pred_dst, candidate)
-
-                # Interference sums over overlapping higher-priority jobs.
-                interference = np.zeros(count)
-                if pre.hp_victim.size:
-                    overlap = (
-                        min_start[pre.hp_other] < max_finish[pre.hp_victim]
-                    ) & (max_finish[pre.hp_other] > min_start[pre.hp_victim])
-                    contributions = np.where(overlap, wcet[pre.hp_other], 0.0)
-                    np.add.at(interference, pre.hp_victim, contributions)
-
-                job_bound = arrival + wcet + interference
-                candidate = np.minimum(job_bound, batch_cap)
-                new_finish = np.maximum(max_finish, candidate)
-                if np.all(new_finish <= max_finish + 1e-12):
-                    converged = True
-                    break
-                max_finish = new_finish
-            fp_span.set_attributes(sweeps=sweeps, converged=converged)
-
-        if not converged:
-            # Trivially safe fallback, as in the reference backend.
-            for _ in range(2):
-                for index in pre.order:
-                    job = jobs[index]
-                    latest = job.release
-                    for src, _best, comm_worst, _on_demand in job.preds:
-                        candidate = max_finish[src] + comm_worst
-                        if candidate > latest:
-                            latest = candidate
-                    total = sum(
-                        wcet[o] for o in jobset.higher_priority_on_same_pe(index)
-                    )
-                    max_finish[index] = latest + wcet[index] + total
-
-        max_start = max_finish - wcet
-        return ScheduleBounds(
-            jobset,
-            min_start.tolist(),
-            min_finish.tolist(),
-            max_start.tolist(),
-            max_finish.tolist(),
-            converged,
-            sweeps,
-        )
-
-    def _precomputed(self, jobset: JobSet) -> _Precomputed:
-        """Share index arrays across ``with_bounds`` clones.
-
-        Clones keep the same precedence/priority structure (only bcet and
-        wcet change), identified here by the shared ``topo_order`` tuple —
-        compared by identity, with the key object held so it cannot be
-        recycled.  At most one structure is cached (the Algorithm-1 access
-        pattern re-analyses many clones of one base job set).
-        """
-        key = jobset.topo_order
-        if self._cache_key is not key:
-            self._cache_key = key
-            self._cache_value = _Precomputed(jobset)
-        return self._cache_value
+__all__ = ["FastWindowAnalysisBackend"]

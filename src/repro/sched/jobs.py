@@ -13,9 +13,10 @@ transition in the first hyperperiod.
 """
 
 import hashlib
-import struct
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping as TMapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.errors import AnalysisError
 from repro.model.application import ApplicationSet
@@ -76,7 +77,14 @@ class Job:
 
 
 class JobSet:
-    """An immutable indexed collection of jobs plus platform context."""
+    """An immutable indexed collection of jobs plus platform context.
+
+    Execution-time bounds live in two float arrays (:attr:`bcet`,
+    :attr:`wcet`); everything else is structure that
+    :meth:`with_bound_arrays` clones share with the set they derive
+    from.  A clone builds its :class:`Job` records only when a caller
+    reads :attr:`jobs`.
+    """
 
     def __init__(
         self,
@@ -88,32 +96,35 @@ class JobSet:
         hyperperiods: int = 2,
         comm_token: str = "",
     ):
-        self._jobs: Tuple[Job, ...] = tuple(jobs)
+        jobs = tuple(jobs)
+        self._jobs: Optional[Tuple[Job, ...]] = jobs
+        #: The unrolled jobs; their structural fields (everything except
+        #: bcet/wcet) hold for every clone.
+        self._proto: Tuple[Job, ...] = jobs
+        self._bcet = read_only_array([job.bcet for job in jobs])
+        self._wcet = read_only_array([job.wcet for job in jobs])
         self._hyperperiod = hyperperiod
         self._hyperperiods = hyperperiods
         self._applications = applications
         self._mapping = mapping
         self._comm_token = comm_token
         self._topo_order: Tuple[int, ...] = tuple(topo_order)
-        self._by_id: Dict[JobId, int] = {
-            job.job_id: job.index for job in self._jobs
-        }
+        self._by_id: Dict[JobId, int] = {job.job_id: job.index for job in jobs}
         self._by_task: Dict[str, List[int]] = {}
-        for job in self._jobs:
+        for job in jobs:
             self._by_task.setdefault(job.task_name, []).append(job.index)
-        #: Lazily computed digest of everything except execution-time
-        #: bounds; shared by :meth:`with_bounds` clones.
-        self._structure_digest: Optional[bytes] = None
+        #: Lazily derived structure (batches, digest, index groups),
+        #: shared by reference with every clone.
+        self._derived: Dict[str, object] = {}
         # Same-processor, higher-priority job indices, precomputed for the
         # interference iteration.
-        by_pe: Dict[str, List[int]] = {}
-        for job in self._jobs:
-            by_pe.setdefault(job.processor, []).append(job.index)
-        self._batches: Optional[Tuple[Batch, ...]] = None
+        self._by_pe: Dict[str, List[int]] = {}
+        for job in jobs:
+            self._by_pe.setdefault(job.processor, []).append(job.index)
         related = self._precedence_related()
-        self._higher_priority: List[Tuple[int, ...]] = [()] * len(self._jobs)
-        for indices in by_pe.values():
-            ranked = sorted(indices, key=lambda i: self._jobs[i].priority)
+        self._higher_priority: List[Tuple[int, ...]] = [()] * len(jobs)
+        for indices in self._by_pe.values():
+            ranked = sorted(indices, key=lambda i: jobs[i].priority)
             for position, job_index in enumerate(ranked):
                 self._higher_priority[job_index] = tuple(
                     other
@@ -135,10 +146,11 @@ class JobSet:
         depend on execution-time bounds, so it is computed once and shared
         across :meth:`with_bounds` clones.
         """
-        if self._batches is not None:
-            return self._batches
+        return self._derive("batches", self._build_batches)
+
+    def _build_batches(self) -> Tuple["Batch", ...]:
         groups: Dict[Tuple[str, int, str], List[int]] = {}
-        for job in self._jobs:
+        for job in self._proto:
             key = (job.graph_name, job.instance, job.processor)
             groups.setdefault(key, []).append(job.index)
         batches: List[Batch] = []
@@ -154,7 +166,7 @@ class JobSet:
             for index in members:
                 reentrant = False
                 current_set = set(current)
-                for pred_index, _best, _worst, _on_demand in self._jobs[index].preds:
+                for pred_index, _best, _worst, _on_demand in self._proto[index].preds:
                     if pred_index in current_set:
                         continue
                     if self._ancestors[pred_index] & current_set:
@@ -166,18 +178,18 @@ class JobSet:
                 current.append(index)
             if current:
                 batches.append(self._make_batch(current, key[2]))
-        self._batches = tuple(batches)
-        return self._batches
+        return tuple(batches)
 
     def _make_batch(self, members: List[int], processor: str) -> "Batch":
+        jobs = self._proto
         member_set = set(members)
         external: List[Tuple[int, float]] = []
         for index in members:
-            for pred_index, _best, worst, _on_demand in self._jobs[index].preds:
+            for pred_index, _best, worst, _on_demand in jobs[index].preds:
                 if pred_index not in member_set:
                     external.append((pred_index, worst))
-        release = max(self._jobs[i].release for i in members)
-        weakest = max(self._jobs[i].priority for i in members)
+        release = max(jobs[i].release for i in members)
+        weakest = max(jobs[i].priority for i in members)
         # An ancestor of any member completes no later than the batch
         # arrival (its effect travels through some external input), so it
         # can never execute inside the batch's busy interval.
@@ -186,11 +198,10 @@ class JobSet:
             ancestors |= self._ancestors[index]
         candidates = tuple(
             other
-            for other in range(len(self._jobs))
+            for other in self._by_pe[processor]
             if other not in member_set
             and other not in ancestors
-            and self._jobs[other].processor == processor
-            and self._jobs[other].priority < weakest
+            and jobs[other].priority < weakest
         )
         return Batch(
             members=tuple(members),
@@ -207,15 +218,15 @@ class JobSet:
         be *pending* concurrently with it — they are soundly excluded
         from the same-processor interference sets.
         """
-        ancestors: List[Set[int]] = [set() for _ in self._jobs]
-        for job in self._jobs:  # construction order is topological per instance
+        ancestors: List[Set[int]] = [set() for _ in self._proto]
+        for job in self._proto:  # construction order is topological per instance
             mine = ancestors[job.index]
             for pred_index, _best, _worst, _on_demand in job.preds:
                 mine.add(pred_index)
                 mine.update(ancestors[pred_index])
         self._ancestors: List[Set[int]] = ancestors
         related: List[Set[int]] = [set(a) for a in ancestors]
-        for job in self._jobs:
+        for job in self._proto:
             for ancestor in ancestors[job.index]:
                 related[ancestor].add(job.index)
         return related
@@ -226,8 +237,74 @@ class JobSet:
 
     @property
     def jobs(self) -> Tuple[Job, ...]:
-        """All jobs, indexed densely from 0."""
-        return self._jobs
+        """All jobs, indexed densely from 0 (built on first read in a clone)."""
+        jobs = self._jobs
+        if jobs is None:
+            jobs = tuple(
+                job
+                if job.bcet == bcet and job.wcet == wcet
+                else replace(job, bcet=bcet, wcet=wcet)
+                for job, bcet, wcet in zip(
+                    self._proto, self._bcet.tolist(), self._wcet.tolist()
+                )
+            )
+            self._jobs = jobs
+        return jobs
+
+    @property
+    def bcet(self) -> np.ndarray:
+        """Per-job best-case execution times (read-only)."""
+        return self._bcet
+
+    @property
+    def wcet(self) -> np.ndarray:
+        """Per-job worst-case execution times (read-only)."""
+        return self._wcet
+
+    @property
+    def release(self) -> np.ndarray:
+        """Per-job release times (read-only)."""
+        return self._derive(
+            "release", lambda: read_only_array([job.release for job in self._proto])
+        )
+
+    @property
+    def analyzed_mask(self) -> np.ndarray:
+        """Per-job first-hyperperiod flags (read-only)."""
+        return self._derive(
+            "analyzed",
+            lambda: read_only_array([job.analyzed for job in self._proto], dtype=bool),
+        )
+
+    def analyzed_groups(self, key: str) -> "IndexGroups":
+        """First-hyperperiod jobs grouped by ``"graph_name"`` or
+        ``"task_name"``, for one ``ufunc.reduceat`` per aggregate."""
+        if key not in ("graph_name", "task_name"):
+            raise AnalysisError(f"cannot group jobs by {key!r}")
+
+        def build() -> IndexGroups:
+            members: Dict[str, List[int]] = {}
+            for job in self._proto:
+                if job.analyzed:
+                    members.setdefault(getattr(job, key), []).append(job.index)
+            names = tuple(members)
+            order = [index for name in names for index in members[name]]
+            starts = np.cumsum([0] + [len(members[n]) for n in names[:-1]])
+            return IndexGroups(
+                names=names,
+                order=np.array(order, dtype=np.int64),
+                starts=starts.astype(np.int64),
+            )
+
+        return self._derive(f"groups:{key}", build)
+
+    def _derive(self, name: str, build):
+        """``build()``, computed once and shared with every clone."""
+        value = self._derived.get(name)
+        if value is None:
+            value = build()
+            self._derived[name] = value
+        return value
 
     @property
     def hyperperiod(self) -> float:
@@ -266,18 +343,23 @@ class JobSet:
         return self._comm_token
 
     def __len__(self) -> int:
-        return len(self._jobs)
+        return len(self._proto)
 
-    def job(self, job_id: JobId) -> Job:
-        """Look up a job by ``(task, instance)``."""
+    def index_of(self, job_id: JobId) -> int:
+        """Dense index of a job given by ``(task, instance)``."""
         try:
-            return self._jobs[self._by_id[job_id]]
+            return self._by_id[job_id]
         except KeyError:
             raise AnalysisError(f"no job {job_id!r} in the job set") from None
 
+    def job(self, job_id: JobId) -> Job:
+        """Look up a job by ``(task, instance)``."""
+        return self.jobs[self.index_of(job_id)]
+
     def jobs_of_task(self, task_name: str) -> List[Job]:
         """All jobs of a task across the horizon."""
-        return [self._jobs[i] for i in self._by_task.get(task_name, [])]
+        jobs = self.jobs
+        return [jobs[i] for i in self._by_task.get(task_name, [])]
 
     def analyzed_jobs_of_task(self, task_name: str) -> List[Job]:
         """First-hyperperiod jobs of a task."""
@@ -286,7 +368,7 @@ class JobSet:
     @property
     def analyzed_jobs(self) -> List[Job]:
         """All first-hyperperiod jobs."""
-        return [job for job in self._jobs if job.analyzed]
+        return [job for job in self.jobs if job.analyzed]
 
     def higher_priority_on_same_pe(self, job_index: int) -> Tuple[int, ...]:
         """Indices of higher-priority jobs sharing the job's processor."""
@@ -310,47 +392,46 @@ class JobSet:
 
         The structural part (everything except the execution-time bounds)
         is hashed once and shared across :meth:`with_bounds` clones, so a
-        fingerprint costs one pass over the bcet/wcet vectors on the
-        Algorithm-1 hot path.
+        fingerprint costs one pass over the packed bcet/wcet arrays on the
+        Algorithm-1 hot path.  The arrays enter as little-endian
+        ``(bcet, wcet)`` double pairs, job by job.
         """
         digest = hashlib.sha256(self._structure())
-        pack = struct.pack
-        for job in self._jobs:
-            digest.update(pack("<dd", job.bcet, job.wcet))
+        pairs = np.column_stack((self._bcet, self._wcet))
+        digest.update(pairs.astype("<f8", copy=False).tobytes())
         return digest.hexdigest()
 
     def _structure(self) -> bytes:
-        if self._structure_digest is None:
-            parts: List[str] = [
-                repr((self._hyperperiod.hex(), self._hyperperiods)),
-                repr(self._topo_order),
-            ]
-            if self._comm_token:
-                parts.append(f"comm={self._comm_token}")
-            for job in self._jobs:
-                parts.append(
-                    repr(
-                        (
-                            job.task_name,
-                            job.graph_name,
-                            job.instance,
-                            job.release.hex(),
-                            job.abs_deadline.hex(),
-                            job.processor,
-                            job.priority,
-                            job.analyzed,
-                            job.droppable,
-                            tuple(
-                                (pred, best.hex(), worst.hex(), on_demand)
-                                for pred, best, worst, on_demand in job.preds
-                            ),
-                        )
+        return self._derive("digest", self._structure_digest)
+
+    def _structure_digest(self) -> bytes:
+        parts: List[str] = [
+            repr((self._hyperperiod.hex(), self._hyperperiods)),
+            repr(self._topo_order),
+        ]
+        if self._comm_token:
+            parts.append(f"comm={self._comm_token}")
+        for job in self._proto:
+            parts.append(
+                repr(
+                    (
+                        job.task_name,
+                        job.graph_name,
+                        job.instance,
+                        job.release.hex(),
+                        job.abs_deadline.hex(),
+                        job.processor,
+                        job.priority,
+                        job.analyzed,
+                        job.droppable,
+                        tuple(
+                            (pred, best.hex(), worst.hex(), on_demand)
+                            for pred, best, worst, on_demand in job.preds
+                        ),
                     )
                 )
-            self._structure_digest = hashlib.sha256(
-                "\n".join(parts).encode("utf-8")
-            ).digest()
-        return self._structure_digest
+            )
+        return hashlib.sha256("\n".join(parts).encode("utf-8")).digest()
 
     # ------------------------------------------------------------------
     # Derivation
@@ -364,37 +445,66 @@ class JobSet:
         """
         if not overrides:
             return self
-        new_jobs: List[Job] = list(self._jobs)
-        for job_id, (bcet, wcet) in overrides.items():
+        bcet = np.array(self._bcet)
+        wcet = np.array(self._wcet)
+        for job_id, (low, high) in overrides.items():
             index = self._by_id.get(job_id)
             if index is None:
                 raise AnalysisError(f"cannot override unknown job {job_id!r}")
-            job = self._jobs[index]
+            bcet[index], wcet[index] = low, high
+        return self.with_bound_arrays(bcet, wcet)
+
+    def with_bound_arrays(self, bcet: np.ndarray, wcet: np.ndarray) -> "JobSet":
+        """A copy carrying the given per-job ``(bcet, wcet)`` arrays.
+
+        The array form of :meth:`with_bounds`, under the same rules; it
+        returns ``self`` when no entry differs.  Clones share this set's
+        structure and derived caches.
+        """
+        if len(bcet) != len(self) or len(wcet) != len(self):
+            raise AnalysisError(f"bounds arrays must have {len(self)} entries")
+        changed = (bcet != self._bcet) | (wcet != self._wcet)
+        if not changed.any():
+            return self
+        bad = changed & (~self.analyzed_mask | (bcet < 0) | (wcet < bcet))
+        if bad.any():
+            job = self._proto[int(np.flatnonzero(bad)[0])]
             if not job.analyzed:
                 raise AnalysisError(
-                    f"job {job_id!r} lies in the second hyperperiod and must "
-                    f"keep nominal bounds"
+                    f"job {job.job_id!r} lies in the second hyperperiod and "
+                    f"must keep nominal bounds"
                 )
-            if bcet < 0 or wcet < bcet:
-                raise AnalysisError(
-                    f"invalid bounds override for {job_id!r}: [{bcet}, {wcet}]"
-                )
-            new_jobs[index] = replace(job, bcet=bcet, wcet=wcet)
+            raise AnalysisError(
+                f"invalid bounds override for {job.job_id!r}: "
+                f"[{bcet[job.index]}, {wcet[job.index]}]"
+            )
         clone = object.__new__(JobSet)
-        clone._jobs = tuple(new_jobs)
-        clone._hyperperiod = self._hyperperiod
-        clone._hyperperiods = self._hyperperiods
-        clone._applications = self._applications
-        clone._mapping = self._mapping
-        clone._comm_token = self._comm_token
-        clone._topo_order = self._topo_order
-        clone._by_id = self._by_id
-        clone._by_task = self._by_task
-        clone._higher_priority = self._higher_priority
-        clone._batches = self._batches
-        clone._ancestors = self._ancestors
-        clone._structure_digest = self._structure_digest
+        clone.__dict__.update(self.__dict__)
+        clone._jobs = None
+        clone._bcet = read_only_array(bcet)
+        clone._wcet = read_only_array(wcet)
         return clone
+
+
+@dataclass(frozen=True)
+class IndexGroups:
+    """Job indices grouped by name (see :meth:`JobSet.analyzed_groups`).
+
+    ``order`` lists the indices group by group; group ``k`` is
+    ``order[starts[k]:starts[k + 1]]`` and is named ``names[k]``.
+    """
+
+    names: Tuple[str, ...]
+    order: np.ndarray
+    starts: np.ndarray
+
+
+def read_only_array(values, dtype=float) -> np.ndarray:
+    """A read-only array copy of ``values`` (safe to share between clones
+    and cached results)."""
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
 
 def unroll(

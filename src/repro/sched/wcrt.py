@@ -27,10 +27,13 @@ fixed point therefore dominates every actual schedule.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Protocol, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import AnalysisError
-from repro.sched.jobs import Job, JobId, JobSet
+from repro.obs.trace import span as trace_span
+from repro.sched.jobs import JobId, JobSet, read_only_array
 
 
 @dataclass(frozen=True)
@@ -49,23 +52,31 @@ class JobBounds:
 
 
 class ScheduleBounds:
-    """Per-job analysis results with task- and graph-level aggregation."""
+    """Per-job analysis results with task- and graph-level aggregation.
+
+    The four bound vectors are stored as read-only float arrays indexed
+    by dense job index.  Task and graph aggregates are one
+    ``ufunc.reduceat`` each over the job set's precomputed index groups,
+    computed on first use and kept.
+    """
 
     def __init__(
         self,
         jobset: JobSet,
-        min_start: List[float],
-        min_finish: List[float],
-        max_start: List[float],
-        max_finish: List[float],
+        min_start: Sequence[float],
+        min_finish: Sequence[float],
+        max_start: Sequence[float],
+        max_finish: Sequence[float],
         converged: bool,
         sweeps: int,
     ):
         self._jobset = jobset
-        self._min_start = min_start
-        self._min_finish = min_finish
-        self._max_start = max_start
-        self._max_finish = max_finish
+        #: Per-job bounds, as read-only arrays.
+        self.min_start = read_only_array(min_start)
+        self.min_finish = read_only_array(min_finish)
+        self.max_start = read_only_array(max_start)
+        self.max_finish = read_only_array(max_finish)
+        self._aggregates: Dict[str, Dict[str, float]] = {}
         #: Whether the fixed point stabilised before the sweep limit.
         self.converged = converged
         #: Number of sweeps the iteration took.
@@ -82,16 +93,15 @@ class ScheduleBounds:
 
     def job_bounds(self, job_id: JobId) -> JobBounds:
         """Bounds of one job."""
-        index = self._jobset.job(job_id).index
-        return self.bounds_at(index)
+        return self.bounds_at(self._jobset.index_of(job_id))
 
     def bounds_at(self, index: int) -> JobBounds:
         """Bounds of the job with the given dense index."""
         return JobBounds(
-            min_start=self._min_start[index],
-            min_finish=self._min_finish[index],
-            max_start=self._max_start[index],
-            max_finish=self._max_finish[index],
+            min_start=float(self.min_start[index]),
+            min_finish=float(self.min_finish[index]),
+            max_start=float(self.max_start[index]),
+            max_finish=float(self.max_finish[index]),
         )
 
     # ------------------------------------------------------------------
@@ -100,17 +110,11 @@ class ScheduleBounds:
 
     def task_min_start(self, task_name: str) -> float:
         """``minStart`` over the task's first-hyperperiod jobs."""
-        jobs = self._jobset.analyzed_jobs_of_task(task_name)
-        if not jobs:
-            raise AnalysisError(f"task {task_name!r} has no analyzed jobs")
-        return min(self._min_start[job.index] for job in jobs)
+        return self._lookup("task_min_start", task_name, "task")
 
     def task_max_finish(self, task_name: str) -> float:
         """``maxFinish`` over the task's first-hyperperiod jobs."""
-        jobs = self._jobset.analyzed_jobs_of_task(task_name)
-        if not jobs:
-            raise AnalysisError(f"task {task_name!r} has no analyzed jobs")
-        return max(self._max_finish[job.index] for job in jobs)
+        return self._lookup("task_max_finish", task_name, "task")
 
     # ------------------------------------------------------------------
     # Graph-level response times
@@ -123,16 +127,7 @@ class ScheduleBounds:
         of its jobs relative to the instance release; the WCRT maximises
         over the instances of the first hyperperiod.
         """
-        worst = None
-        for job in self._jobset.analyzed_jobs:
-            if job.graph_name != graph_name:
-                continue
-            response = self._max_finish[job.index] - job.release
-            if worst is None or response > worst:
-                worst = response
-        if worst is None:
-            raise AnalysisError(f"graph {graph_name!r} has no analyzed jobs")
-        return worst
+        return self._lookup("graph_wcrt", graph_name, "graph")
 
     def deadline_misses(self, include_graphs: Optional[Iterable[str]] = None) -> List[JobId]:
         """First-hyperperiod jobs whose worst-case finish exceeds the deadline."""
@@ -141,9 +136,37 @@ class ScheduleBounds:
         for job in self._jobset.analyzed_jobs:
             if included is not None and job.graph_name not in included:
                 continue
-            if self._max_finish[job.index] > job.abs_deadline + 1e-9:
+            if self.max_finish[job.index] > job.abs_deadline + 1e-9:
                 misses.append(job.job_id)
         return misses
+
+    def _lookup(self, aggregate: str, name: str, kind: str) -> float:
+        try:
+            return self._aggregate(aggregate)[name]
+        except KeyError:
+            raise AnalysisError(f"{kind} {name!r} has no analyzed jobs") from None
+
+    def _aggregate(self, aggregate: str) -> Dict[str, float]:
+        table = self._aggregates.get(aggregate)
+        if table is None:
+            if aggregate == "graph_wcrt":
+                groups = self._jobset.analyzed_groups("graph_name")
+                values = self.max_finish - self._jobset.release
+                reduce = np.maximum.reduceat
+            else:
+                groups = self._jobset.analyzed_groups("task_name")
+                if aggregate == "task_max_finish":
+                    values, reduce = self.max_finish, np.maximum.reduceat
+                else:
+                    values, reduce = self.min_start, np.minimum.reduceat
+            reduced = (
+                reduce(values[groups.order], groups.starts).tolist()
+                if groups.names
+                else []
+            )
+            table = dict(zip(groups.names, reduced))
+            self._aggregates[aggregate] = table
+        return table
 
 
 class SchedBackend(Protocol):
@@ -159,135 +182,247 @@ class SchedBackend(Protocol):
         ...
 
 
+class _Precomputed:
+    """Index arrays shared by every analysis of structurally-equal job sets."""
+
+    def __init__(self, jobset: JobSet):
+        jobs = jobset.jobs
+        count = self.count = len(jobs)
+        self.release = np.array(jobset.release)
+
+        # Topological levels: a job's level exceeds each predecessor's,
+        # so one pass over the levels visits predecessors first.
+        level = [0] * count
+        for index in jobset.topo_order:
+            for src, _best, _worst, _on_demand in jobs[index].preds:
+                level[index] = max(level[index], level[src] + 1)
+        by_level: List[List[int]] = [[] for _ in range(max(level, default=-1) + 1)]
+        for index in jobset.topo_order:
+            by_level[level[index]].append(index)
+        # Predecessor edges, grouped by consumer level; each level keeps
+        # its member array and the slice of edges into its members.
+        edges: List[tuple] = []
+        self.levels: List[Tuple[np.ndarray, slice]] = []
+        for members in by_level:
+            first = len(edges)
+            edges += [
+                (src, index, best, worst)
+                for index in members
+                for src, best, worst, _on_demand in jobs[index].preds
+            ]
+            self.levels.append((_ints(members), slice(first, len(edges))))
+        self.pred_src, self.pred_dst, self.pred_comm_best, self.pred_comm_worst = (
+            _columns(edges, (np.int64, np.int64, float, float))
+        )
+
+        # Interference pairs, interferers in the job set's order.
+        self.hp_victim, self.hp_other = _columns(
+            [
+                (index, other)
+                for index in range(count)
+                for other in jobset.higher_priority_on_same_pe(index)
+            ],
+            (np.int64, np.int64),
+        )
+
+        # Batches partition the jobs, so members are listed batch by
+        # batch and every job has exactly one batch.
+        batches = jobset.batches()
+        self.batch_count = len(batches)
+        self.batch_release = np.array([b.release for b in batches], dtype=float)
+        self.member_batch, self.member_flat = _columns(
+            [(b, m) for b, batch in enumerate(batches) for m in batch.members],
+            (np.int64, np.int64),
+        )
+        self.batch_starts = _ints(
+            np.flatnonzero(np.diff(self.member_batch, prepend=-1))
+        )
+        self.job_batch = np.zeros(count, dtype=np.int64)
+        self.job_batch[self.member_flat] = self.member_batch
+        self.ext_batch, self.ext_src, self.ext_comm = _columns(
+            [
+                (b, src, comm)
+                for b, batch in enumerate(batches)
+                for src, comm in batch.external_preds
+            ],
+            (np.int64, np.int64, float),
+        )
+        self.int_batch, self.int_other = _columns(
+            [(b, o) for b, batch in enumerate(batches) for o in batch.interferers],
+            (np.int64, np.int64),
+        )
+
+    def forward(
+        self,
+        finish: np.ndarray,
+        comm: np.ndarray,
+        duration: np.ndarray,
+        extra: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """One longest-path pass in topological-level order.
+
+        Sets ``finish = start + duration (+ extra)`` level by level, where
+        ``start`` is the latest of the release and every predecessor's
+        ``finish`` plus the edge's ``comm``; returns ``start``.
+        """
+        start = self.release.copy()
+        for members, edges in self.levels:
+            np.maximum.at(
+                start, self.pred_dst[edges], finish[self.pred_src[edges]] + comm[edges]
+            )
+            finish[members] = start[members] + duration[members]
+            if extra is not None:
+                finish[members] += extra[members]
+        return start
+
+
+def _ints(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64)
+
+
+def _columns(rows: List[tuple], dtypes: tuple) -> List[np.ndarray]:
+    """One array per tuple position of ``rows`` (empty arrays if none)."""
+    if not rows:
+        return [np.zeros(0, dtype=dtype) for dtype in dtypes]
+    return [np.array(column, dtype=dtype) for column, dtype in zip(zip(*rows), dtypes)]
+
+
+def _sums(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Per-slot sums of ``weights``, each added in array order from 0.0."""
+    return np.bincount(index, weights=weights, minlength=size)
+
+
 class WindowAnalysisBackend:
-    """The default window-based interference analysis (see module docs)."""
+    """The window-based interference analysis (see module docs).
+
+    Every pass is a numpy operation over index arrays precomputed once
+    per job-set structure:
+
+    * the best-case, initialisation and fallback passes walk the
+      topological levels, one vector step per level;
+    * each fixed-point sweep is Jacobi: every bound is computed from the
+      previous sweep's state, with interference summed in interferer
+      order, and every value rises to ``max(old, candidate)``.  The loop
+      stops at the first sweep in which no value grows by more than
+      ``1e-12``.
+    """
 
     def __init__(self, max_sweeps: int = 200):
         if max_sweeps < 1:
             raise AnalysisError("max_sweeps must be >= 1")
         self._max_sweeps = max_sweeps
+        #: ``(structure key, index arrays)`` of the last job set seen;
+        #: one attribute, so concurrent callers never pair a key with
+        #: another structure's arrays.
+        self._structure: Optional[Tuple[object, _Precomputed]] = None
 
     def analyze(self, jobset: JobSet) -> ScheduleBounds:
         """Compute bounds for every job of the set."""
-        jobs = jobset.jobs
-        count = len(jobs)
-        order = jobset.topo_order
+        pre = self._precomputed(jobset)
+        count = pre.count
+        bcet = jobset.bcet
+        wcet = jobset.wcet
 
-        # ---- best case: no interference, best-case times ----
-        min_start = [0.0] * count
-        min_finish = [0.0] * count
-        for index in order:
-            job = jobs[index]
-            earliest = job.release
-            for pred_index, comm_best, _comm_worst, _on_demand in job.preds:
-                arrival = min_finish[pred_index] + comm_best
-                if arrival > earliest:
-                    earliest = arrival
-            min_start[index] = earliest
-            min_finish[index] = earliest + job.bcet
+        # ---- best case: longest path, no interference ----
+        min_finish = np.zeros(count)
+        min_start = pre.forward(min_finish, pre.pred_comm_best, bcet)
 
-        # ---- worst case: monotone window iteration ----
-        max_finish = [0.0] * count
-        arrival_of = [0.0] * count
-        for index in order:
-            job = jobs[index]
-            latest = job.release
-            for pred_index, _comm_best, comm_worst, _on_demand in job.preds:
-                arrival = max_finish[pred_index] + comm_worst
-                if arrival > latest:
-                    latest = arrival
-            arrival_of[index] = latest
-            max_finish[index] = latest + job.wcet
+        # ---- worst case: interference-free initialisation ----
+        max_finish = np.zeros(count)
+        pre.forward(max_finish, pre.pred_comm_worst, wcet)
 
-        # Monotone Jacobi iteration over two sound bounds: the per-job
-        # interference bound and the per-batch work-conservation bound.
-        # Each sweep computes both from the previous state and raises
-        # every value to max(old, min(job bound, batch bound)); the
-        # sequence is nondecreasing and bounded, and at the fixed point
-        # every value dominates the smaller of two safe bounds — hence is
-        # itself safe (see the module docstring).
-        batches = jobset.batches()
+        # Batch window starts and work depend only on min_start / wcet.
+        batch_window_start = np.minimum.reduceat(
+            min_start[pre.member_flat], pre.batch_starts
+        )
+        batch_work = _sums(pre.member_batch, wcet[pre.member_flat], pre.batch_count)
+        int_wcet = wcet[pre.int_other]
+        int_min_start = min_start[pre.int_other]
+        int_window_start = batch_window_start[pre.int_batch]
+        hp_wcet = wcet[pre.hp_other]
+        hp_min_start = min_start[pre.hp_other]
+        victim_min_start = min_start[pre.hp_victim]
+
+        # ---- worst case: monotone Jacobi iteration ----
+        # Two sound bounds per job: the per-job interference bound and the
+        # per-batch work-conservation bound.  Each sweep raises every
+        # value to max(old, min(job bound, batch bound)); the sequence is
+        # nondecreasing and bounded, and at the fixed point every value
+        # dominates the smaller of two safe bounds.
         converged = False
         sweeps = 0
-        for sweeps in range(1, self._max_sweeps + 1):
-            changed = False
-            batch_cap = [float("inf")] * count
-            for batch in batches:
-                arrival = batch.release
-                for pred_index, comm_worst in batch.external_preds:
-                    candidate = max_finish[pred_index] + comm_worst
-                    if candidate > arrival:
-                        arrival = candidate
-                window_start = min(min_start[i] for i in batch.members)
-                window_end = max(max_finish[i] for i in batch.members)
-                total = 0.0
-                for i in batch.members:
-                    total += jobs[i].wcet
-                interference = 0.0
-                for other in batch.interferers:
-                    if (
-                        min_start[other] < window_end
-                        and max_finish[other] > window_start
-                    ):
-                        interference += jobs[other].wcet
-                bound = arrival + total + interference
-                for member in batch.members:
-                    batch_cap[member] = bound
+        with trace_span("sched.window.fixed_point", jobs=count) as fp_span:
+            for sweeps in range(1, self._max_sweeps + 1):
+                batch_arrival = pre.batch_release.copy()
+                np.maximum.at(
+                    batch_arrival, pre.ext_batch, max_finish[pre.ext_src] + pre.ext_comm
+                )
+                batch_window_end = np.maximum.reduceat(
+                    max_finish[pre.member_flat], pre.batch_starts
+                )
+                overlap = (int_min_start < batch_window_end[pre.int_batch]) & (
+                    max_finish[pre.int_other] > int_window_start
+                )
+                batch_interference = _sums(
+                    pre.int_batch, np.where(overlap, int_wcet, 0.0), pre.batch_count
+                )
+                batch_bound = batch_arrival + batch_work + batch_interference
+                batch_cap = batch_bound[pre.job_batch]
 
-            new_finish = list(max_finish)
-            for index in order:
-                job = jobs[index]
-                latest = job.release
-                for pred_index, _comm_best, comm_worst, _on_demand in job.preds:
-                    arrival = max_finish[pred_index] + comm_worst
-                    if arrival > latest:
-                        latest = arrival
-                arrival_of[index] = latest
-                pending_from = min_start[index]
-                current = max_finish[index]
-                interference = 0.0
-                for other in jobset.higher_priority_on_same_pe(index):
-                    if (
-                        min_start[other] < current
-                        and max_finish[other] > pending_from
-                    ):
-                        interference += jobs[other].wcet
-                job_bound = latest + job.wcet + interference
-                candidate = min(job_bound, batch_cap[index])
-                if candidate > current + 1e-12:
-                    new_finish[index] = candidate
-                    changed = True
-            max_finish = new_finish
-            if not changed:
-                converged = True
-                break
+                arrival = pre.release.copy()
+                np.maximum.at(
+                    arrival,
+                    pre.pred_dst,
+                    max_finish[pre.pred_src] + pre.pred_comm_worst,
+                )
+
+                overlap = (hp_min_start < max_finish[pre.hp_victim]) & (
+                    max_finish[pre.hp_other] > victim_min_start
+                )
+                interference = _sums(
+                    pre.hp_victim, np.where(overlap, hp_wcet, 0.0), count
+                )
+
+                candidate = np.minimum(arrival + wcet + interference, batch_cap)
+                new_finish = np.maximum(max_finish, candidate)
+                if not (new_finish > max_finish + 1e-12).any():
+                    converged = True
+                    break
+                max_finish = new_finish
+            fp_span.set_attributes(sweeps=sweeps, converged=converged)
 
         if not converged:
             # Trivially safe fallback: charge every higher-priority job on
-            # the processor, independent of windows.  Two topological
-            # passes stabilise the arrival terms.
-            for _ in range(2):
-                for index in order:
-                    job = jobs[index]
-                    latest = job.release
-                    for pred_index, _comm_best, comm_worst, _on_demand in job.preds:
-                        arrival = max_finish[pred_index] + comm_worst
-                        if arrival > latest:
-                            latest = arrival
-                    arrival_of[index] = latest
-                    interference = sum(
-                        jobs[other].wcet
-                        for other in jobset.higher_priority_on_same_pe(index)
-                    )
-                    max_finish[index] = latest + job.wcet + interference
+            # the processor, independent of windows.  One level-ordered
+            # pass computes each value from already-final predecessors,
+            # so it is its own fixed point.
+            hp_total = _sums(pre.hp_victim, hp_wcet, count)
+            pre.forward(max_finish, pre.pred_comm_worst, wcet, hp_total)
 
-        max_start = [max_finish[i] - jobs[i].wcet for i in range(count)]
         return ScheduleBounds(
             jobset,
             min_start,
             min_finish,
-            max_start,
+            max_finish - wcet,
             max_finish,
             converged,
             sweeps,
         )
+
+    def _precomputed(self, jobset: JobSet) -> _Precomputed:
+        """Share index arrays across ``with_bounds`` clones.
+
+        Clones keep the same precedence/priority structure (only bcet and
+        wcet change), identified here by the shared ``topo_order`` tuple —
+        compared by identity, with the key object held so it cannot be
+        recycled.  At most one structure is cached (the Algorithm-1 access
+        pattern re-analyses many clones of one base job set).  The pair
+        is read once and replaced whole, so threads sharing the back-end
+        each analyse with arrays that match their own job set.
+        """
+        key = jobset.topo_order
+        cached = self._structure
+        if cached is None or cached[0] is not key:
+            cached = (key, _Precomputed(jobset))
+            self._structure = cached
+        return cached[1]

@@ -206,12 +206,11 @@ def _run_analyze(params: Dict[str, Any]) -> bytes:
 
 
 def _run_analyze_degraded(params: Dict[str, Any]) -> bytes:
-    """Brownout fallback: bounded fast-window analysis, honestly marked.
+    """Brownout fallback: bounded window analysis, honestly marked.
 
-    Forces ``backend="fast"`` (the bounded fast-window heuristic the
-    analysis guard also falls back to) with no shared fast path, so a
-    degraded run can never write into the schedule cache that backs the
-    byte-identity guarantee.  The response carries ``"degraded": true``
+    Forces ``backend="fast"`` (the window back-end's historical name)
+    with no shared fast path, so a degraded run can never write into the
+    schedule cache that backs the byte-identity guarantee.  The response carries ``"degraded": true``
     and is keyed under a *separate* dedup digest, so degraded bytes can
     never be replayed to a client that was promised full service.
     """

@@ -61,11 +61,11 @@ def bounds_to_record(key: str, bounds: ScheduleBounds) -> Dict[str, Any]:
     record: Dict[str, Any] = {
         "version": SCHEMA_VERSION,
         "key": key,
-        "jobs": len(bounds.jobset.jobs),
-        "min_start": list(bounds._min_start),
-        "min_finish": list(bounds._min_finish),
-        "max_start": list(bounds._max_start),
-        "max_finish": list(bounds._max_finish),
+        "jobs": len(bounds.jobset),
+        "min_start": bounds.min_start.tolist(),
+        "min_finish": bounds.min_finish.tolist(),
+        "max_start": bounds.max_start.tolist(),
+        "max_finish": bounds.max_finish.tolist(),
         "converged": bounds.converged,
         "sweeps": bounds.sweeps,
     }
@@ -88,7 +88,7 @@ def bounds_from_record(
         return None
     if record.get("version") != SCHEMA_VERSION or record.get("key") != key:
         return None
-    count = len(jobset.jobs)
+    count = len(jobset)
     if record.get("jobs") != count:
         return None
     arrays = []

@@ -8,6 +8,7 @@ across the built-in suites and random TGFF systems.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.benchgen.tgff import generate_problem
@@ -144,6 +145,53 @@ class TestFingerprint:
         assert same.fingerprint() == base.fingerprint()
 
 
+class TestFingerprintPins:
+    """Literal digests: ScheduleCache and disk-tier keys must not drift.
+
+    Recorded when bounds still lived on per-job records and were hashed
+    job by job as ``struct.pack("<dd", bcet, wcet)``; the packed-array
+    hash must reproduce them byte for byte.
+    """
+
+    BASE = "f3bee0e7eab62fe23749596c81c817db80cca865beb13dd0c41f4d2db8768c6e"
+    CLONE = "6eb9f29d2e7a207c930c02c7234dd58a5b20cffe54288492923f52f9db163136"
+
+    @pytest.fixture
+    def cruise_base(self):
+        from repro.suites.cruise import cruise_benchmark, cruise_sample_mappings
+
+        hardened, mappings = cruise_sample_mappings()
+        arch = cruise_benchmark().problem.architecture
+        return MixedCriticalityAnalysis()._base_jobset(hardened, arch, mappings[0])
+
+    def _overrides(self, base):
+        jobs = base.analyzed_jobs
+        return {
+            jobs[0].job_id: (0.0, jobs[0].wcet * 3),
+            jobs[5].job_id: (jobs[5].bcet, jobs[5].wcet + 0.1),
+        }
+
+    def test_base_digest(self, cruise_base):
+        assert len(cruise_base) == 94
+        assert cruise_base.fingerprint() == self.BASE
+
+    def test_with_bounds_clone_digest(self, cruise_base):
+        clone = cruise_base.with_bounds(self._overrides(cruise_base))
+        assert clone.fingerprint() == self.CLONE
+
+    def test_array_clone_digest(self, cruise_base):
+        bcet = np.array(cruise_base.bcet)
+        wcet = np.array(cruise_base.wcet)
+        for job_id, (low, high) in self._overrides(cruise_base).items():
+            index = cruise_base.index_of(job_id)
+            bcet[index], wcet[index] = low, high
+        clone = cruise_base.with_bound_arrays(bcet, wcet)
+        assert clone.fingerprint() == self.CLONE
+        # Reading .jobs builds the records from the arrays.
+        assert [job.wcet for job in clone.jobs] == wcet.tolist()
+        assert clone.fingerprint() == self.CLONE
+
+
 class TestScheduleCache:
     def _bounds(self):
         return object()  # the cache never inspects its values
@@ -187,10 +235,10 @@ class TestWarmStart:
         bogus_state["signature"] = ("something", "else")
         seed = ScheduleBounds(
             base,
-            list(cold._min_start),
-            list(cold._min_finish),
-            list(cold._max_start),
-            list(cold._max_finish),
+            cold.min_start,
+            cold.min_finish,
+            cold.max_start,
+            cold.max_finish,
             converged=True,
             sweeps=cold.sweeps,
         )
@@ -233,14 +281,19 @@ class TestTransitionPruner:
         base = analysis._base_jobset(hardened, architecture, mapping)
         pruner = TransitionPruner(base)
         job_a, job_b = base.analyzed_jobs[0], base.analyzed_jobs[1]
-        wide = {job_a.job_id: (0.0, job_a.wcet + 10.0)}
-        narrow = {job_a.job_id: (job_a.bcet, job_a.wcet + 1.0)}
-        sideways = {job_b.job_id: (0.0, job_b.wcet + 1.0)}
 
-        assert not pruner.is_dominated(wide)
-        pruner.record(wide)
-        assert pruner.is_dominated(narrow)
-        # Nominal-bounds transition (empty override) is always covered.
-        assert pruner.is_dominated({})
+        def arrays(overrides):
+            clone = base.with_bounds(overrides)
+            return clone.bcet, clone.wcet
+
+        wide = arrays({job_a.job_id: (0.0, job_a.wcet + 10.0)})
+        narrow = arrays({job_a.job_id: (job_a.bcet, job_a.wcet + 1.0)})
+        sideways = arrays({job_b.job_id: (0.0, job_b.wcet + 1.0)})
+
+        assert not pruner.is_dominated(*wide)
+        pruner.record(*wide)
+        assert pruner.is_dominated(*narrow)
+        # Nominal-bounds transition (no override) is always covered.
+        assert pruner.is_dominated(base.bcet, base.wcet)
         # An override on a job the recorded transition left nominal is not.
-        assert not pruner.is_dominated(sideways)
+        assert not pruner.is_dominated(*sideways)

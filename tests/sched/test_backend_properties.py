@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.benchgen.tgff import GraphShape, TgffConfig, generate_problem
 from repro.dse.chromosome import heuristic_chromosome
 from repro.hardening.transform import harden
-from repro.sched.fast import FastWindowAnalysisBackend
 from repro.sched.holistic import HolisticAnalysisBackend
 from repro.sched.jobs import unroll
 from repro.sched.wcrt import WindowAnalysisBackend
@@ -42,7 +41,7 @@ def make_jobset(seed, policy="fp"):
     )
 
 
-BACKENDS = [WindowAnalysisBackend, FastWindowAnalysisBackend, HolisticAnalysisBackend]
+BACKENDS = [WindowAnalysisBackend, HolisticAnalysisBackend]
 
 
 @given(st.integers(min_value=0, max_value=300))

@@ -1,4 +1,4 @@
-"""The non-convergence fallback of the window back-ends must stay safe."""
+"""The non-convergence fallback of the window back-end must stay safe."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.model.architecture import homogeneous_architecture
 from repro.model.mapping import Mapping
 from repro.model.task import Channel, Task
 from repro.model.taskgraph import TaskGraph
-from repro.sched.fast import FastWindowAnalysisBackend
 from repro.sched.jobs import unroll
 from repro.sched.wcrt import WindowAnalysisBackend
 from repro.sim.engine import Simulator
@@ -45,7 +44,7 @@ def loaded_system():
     return apps, arch, mapping
 
 
-@pytest.mark.parametrize("backend_cls", [WindowAnalysisBackend, FastWindowAnalysisBackend])
+@pytest.mark.parametrize("backend_cls", [WindowAnalysisBackend])
 class TestFallback:
     def test_sweep_starved_backend_reports_nonconvergence(
         self, loaded_system, backend_cls

@@ -1,11 +1,19 @@
-"""Equivalence tests: the numpy backend must match the reference backend."""
+"""Exact equivalence: the numpy window back-end against the scalar reference.
+
+:class:`~tests.sched.reference.ReferenceWindowBackend` evaluates the
+same fixed point one job at a time in plain Python, so every bound is
+compared with ``==``.  The alias ``FastWindowAnalysisBackend`` is the
+same class as ``WindowAnalysisBackend``.
+"""
 
 import random
-import time
+import sys
+import threading
 
 import pytest
 
 from repro.benchgen.tgff import GraphShape, TgffConfig, generate_problem
+from repro.comm import make_comm
 from repro.core.analysis import MixedCriticalityAnalysis
 from repro.dse.chromosome import random_chromosome
 from repro.dse.repair import repair
@@ -13,9 +21,14 @@ from repro.hardening.transform import harden
 from repro.sched.fast import FastWindowAnalysisBackend
 from repro.sched.jobs import unroll
 from repro.sched.wcrt import WindowAnalysisBackend
+from tests.sched.reference import ReferenceWindowBackend
+
+#: Comm configurations: flat latencies, the shared-bus comm backend, and
+#: priority-arbitrated message jobs on a virtual bus processor.
+COMMS = ("flat", "shared-bus", "bus-contention")
 
 
-def random_jobset(seed):
+def random_jobset(seed, policy="fp", comm="flat"):
     problem = generate_problem(
         seed=seed,
         critical_graphs=1,
@@ -37,64 +50,148 @@ def random_jobset(seed):
     for passive in hardened.passive_tasks:
         bounds[passive] = (0.0, 0.0)
     return unroll(
-        hardened.applications, design.mapping, problem.architecture, bounds=bounds
+        hardened.applications,
+        design.mapping,
+        problem.architecture,
+        comm=make_comm("shared-bus") if comm == "shared-bus" else None,
+        bounds=bounds,
+        policy=policy,
+        bus_contention=comm == "bus-contention",
     )
+
+
+def widened(jobset, seed):
+    """A ``with_bounds`` clone: one job inflated, one zeroed, one widened."""
+    analyzed = jobset.analyzed_jobs
+    first = analyzed[seed % len(analyzed)]
+    second = analyzed[(3 * seed + 1) % len(analyzed)]
+    third = analyzed[(5 * seed + 2) % len(analyzed)]
+    overrides = {first.job_id: (first.bcet, first.wcet * 3.0 + 0.5)}
+    overrides[second.job_id] = (0.0, 0.0)
+    overrides[third.job_id] = (0.0, third.wcet + 7.25)
+    return jobset.with_bounds(overrides)
+
+
+def assert_identical(got, ref):
+    for name in ("min_start", "min_finish", "max_start", "max_finish"):
+        assert getattr(got, name).tolist() == getattr(ref, name).tolist(), name
+    assert got.converged == ref.converged
+    assert got.sweeps == ref.sweeps
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_reference_backend(self, seed):
         jobset = random_jobset(seed)
-        reference = WindowAnalysisBackend().analyze(jobset)
-        fast = FastWindowAnalysisBackend().analyze(jobset)
-        for job in jobset.jobs:
-            ref = reference.bounds_at(job.index)
-            got = fast.bounds_at(job.index)
-            assert got.min_start == pytest.approx(ref.min_start, abs=1e-9)
-            assert got.min_finish == pytest.approx(ref.min_finish, abs=1e-9)
-            assert got.max_finish == pytest.approx(ref.max_finish, abs=1e-6), (
-                f"seed {seed}, job {job.job_id}"
+        assert_identical(
+            WindowAnalysisBackend().analyze(jobset),
+            ReferenceWindowBackend().analyze(jobset),
+        )
+
+    @pytest.mark.parametrize("comm", COMMS)
+    @pytest.mark.parametrize("policy", ("fp", "edf"))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference_across_configs(self, seed, policy, comm):
+        jobset = random_jobset(seed, policy=policy, comm=comm)
+        clone = widened(jobset, seed)
+        backend = WindowAnalysisBackend()
+        for candidate in (jobset, clone):
+            assert_identical(
+                backend.analyze(candidate),
+                ReferenceWindowBackend().analyze(candidate),
             )
+
+    @pytest.mark.parametrize("comm", COMMS)
+    def test_fallback_matches_reference(self, comm):
+        starved = 0
+        for seed in range(4):
+            jobset = random_jobset(seed, comm=comm)
+            for candidate in (jobset, widened(jobset, seed)):
+                got = WindowAnalysisBackend(max_sweeps=1).analyze(candidate)
+                assert_identical(
+                    got, ReferenceWindowBackend(max_sweeps=1).analyze(candidate)
+                )
+                starved += not got.converged
+        assert starved, "no job set needed more than one sweep"
 
     def test_matches_on_bound_overrides(self):
         jobset = random_jobset(3)
         target = jobset.analyzed_jobs[0]
         clone = jobset.with_bounds({target.job_id: (0.0, target.wcet * 3)})
-        reference = WindowAnalysisBackend().analyze(clone)
-        backend = FastWindowAnalysisBackend()
+        backend = WindowAnalysisBackend()
         backend.analyze(jobset)  # warm the structural cache
-        fast = backend.analyze(clone)  # reuses structure, new bounds
-        for job in clone.jobs:
-            assert fast.bounds_at(job.index).max_finish == pytest.approx(
-                reference.bounds_at(job.index).max_finish, abs=1e-6
-            )
+        assert_identical(
+            backend.analyze(clone),  # reuses structure, new bounds
+            ReferenceWindowBackend().analyze(clone),
+        )
 
     def test_structural_cache_resets_between_jobsets(self):
-        backend = FastWindowAnalysisBackend()
+        backend = WindowAnalysisBackend()
         a = random_jobset(4)
         b = random_jobset(5)
         result_a = backend.analyze(a)
         result_b = backend.analyze(b)
-        reference_b = WindowAnalysisBackend().analyze(b)
-        for job in b.jobs:
-            assert result_b.bounds_at(job.index).max_finish == pytest.approx(
-                reference_b.bounds_at(job.index).max_finish, abs=1e-6
-            )
+        assert_identical(result_b, ReferenceWindowBackend().analyze(b))
         assert result_a.jobset is a and result_b.jobset is b
+
+    def test_fast_is_an_alias(self):
+        assert FastWindowAnalysisBackend is WindowAnalysisBackend
+
+
+class TestThreadSafety:
+    def test_shared_backend_hammer(self):
+        """Threads sharing one back-end across structures get serial results.
+
+        The threaded explorer shares one evaluator, hence one back-end,
+        between workers; alternating job-set structures make the threads
+        race on the back-end's structure cache.
+        """
+        jobsets = [random_jobset(seed) for seed in range(6)]
+        expected = [
+            WindowAnalysisBackend().analyze(js).max_finish.tolist()
+            for js in jobsets
+        ]
+        backend = WindowAnalysisBackend()
+        failures = []
+
+        def worker(offset):
+            try:
+                for call in range(200):
+                    index = (call + offset) % len(jobsets)
+                    got = backend.analyze(jobsets[index]).max_finish.tolist()
+                    if got != expected[index]:
+                        failures.append((offset, call, "mismatch"))
+            except Exception as error:  # noqa: BLE001 — reported below
+                failures.append((offset, repr(error)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(offset,))
+                for offset in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
 
 class TestWithinAlgorithmOne:
     def test_same_wcrt_through_algorithm1(self, hardened, architecture, mapping):
-        reference = MixedCriticalityAnalysis().analyze(
+        reference = MixedCriticalityAnalysis(
+            backend=ReferenceWindowBackend()
+        ).analyze(hardened, architecture, mapping, dropped=("lo",))
+        fast = MixedCriticalityAnalysis().analyze(
             hardened, architecture, mapping, dropped=("lo",)
         )
-        fast = MixedCriticalityAnalysis(
-            backend=FastWindowAnalysisBackend()
-        ).analyze(hardened, architecture, mapping, dropped=("lo",))
         for graph in hardened.applications.graph_names:
-            assert fast.wcrt_of(graph) == pytest.approx(
-                reference.wcrt_of(graph), abs=1e-6
-            )
+            assert fast.wcrt_of(graph) == reference.wcrt_of(graph)
+        assert fast.task_completion == reference.task_completion
 
     def test_cruise_agreement(self):
         from repro.experiments.table2 import TABLE2_DROPPED
@@ -102,13 +199,12 @@ class TestWithinAlgorithmOne:
 
         hardened, mappings = cruise_sample_mappings()
         arch = cruise_benchmark().problem.architecture
-        reference = MixedCriticalityAnalysis().analyze(
+        reference = MixedCriticalityAnalysis(
+            backend=ReferenceWindowBackend()
+        ).analyze(hardened, arch, mappings[0], TABLE2_DROPPED)
+        fast = MixedCriticalityAnalysis().analyze(
             hardened, arch, mappings[0], TABLE2_DROPPED
         )
-        fast = MixedCriticalityAnalysis(
-            backend=FastWindowAnalysisBackend()
-        ).analyze(hardened, arch, mappings[0], TABLE2_DROPPED)
-        for app in ("cc", "mon"):
-            assert fast.wcrt_of(app) == pytest.approx(
-                reference.wcrt_of(app), abs=1e-6
-            )
+        for app in hardened.applications.graph_names:
+            assert fast.wcrt_of(app) == reference.wcrt_of(app)
+        assert fast.transitions == reference.transitions

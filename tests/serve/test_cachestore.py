@@ -9,6 +9,7 @@ results straight from disk, and *any* damaged record degrades to a miss
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.core import FastPathConfig, MixedCriticalityAnalysis
@@ -33,7 +34,7 @@ def jobset(hardened, architecture, mapping):
 def _bounds(jobset):
     from repro.sched.wcrt import ScheduleBounds
 
-    count = len(jobset.jobs)
+    count = len(jobset)
     return ScheduleBounds(
         jobset,
         [float(i) for i in range(count)],
@@ -65,11 +66,51 @@ class TestRoundTrip:
         loaded = store.load(key, jobset)
         assert loaded is not None
         assert loaded.jobset is jobset
-        assert list(loaded._min_start) == list(original._min_start)
-        assert list(loaded._max_finish) == list(original._max_finish)
+        assert loaded.min_start.tolist() == original.min_start.tolist()
+        assert loaded.max_finish.tolist() == original.max_finish.tolist()
         assert loaded.converged is True
         assert loaded.sweeps == 4
         assert store.stats()["hits"] == 1
+
+    def test_tiered_round_trip_of_array_bounds(self, tmp_path, jobset):
+        """Backend bounds of an array clone survive the disk tier exactly.
+
+        The record keeps its JSON layout (plain float lists), so entries
+        written before bounds became arrays stay readable.
+        """
+        from repro.sched.wcrt import WindowAnalysisBackend
+
+        bcet = np.array(jobset.bcet)
+        wcet = np.array(jobset.wcet)
+        target = jobset.analyzed_jobs[0].index
+        wcet[target] = wcet[target] * 2.5 + 1.0
+        clone = jobset.with_bound_arrays(bcet, wcet)
+        key = clone.fingerprint()
+        original = WindowAnalysisBackend().analyze(clone)
+        root = tmp_path / "cache"
+        TieredScheduleCache(DiskCacheStore(root), capacity=4).put(key, original)
+
+        record = json.loads(
+            (root / key[:2] / f"{key}.json").read_text(encoding="utf-8")
+        )
+        assert set(record) == {
+            "version", "key", "jobs", "min_start", "min_finish",
+            "max_start", "max_finish", "converged", "sweeps",
+        }
+        assert all(type(v) is float for v in record["max_finish"])
+
+        fresh = TieredScheduleCache(DiskCacheStore(root), capacity=4)
+        loaded = fresh.get(key, clone)
+        assert loaded is not None and loaded.jobset is clone
+        for field in ("min_start", "min_finish", "max_start", "max_finish"):
+            assert getattr(loaded, field).tolist() == getattr(original, field).tolist()
+        assert (loaded.converged, loaded.sweeps) == (
+            original.converged, original.sweeps
+        )
+        for graph in clone.applications.graph_names:
+            assert loaded.graph_wcrt(graph) == original.graph_wcrt(graph)
+        for task in clone.applications.all_task_names:
+            assert loaded.task_max_finish(task) == original.task_max_finish(task)
 
     def test_missing_key_is_a_plain_miss(self, tmp_path, jobset):
         store = DiskCacheStore(tmp_path / "cache")
