@@ -34,17 +34,21 @@ with no ARQ binds to the plain :class:`~repro.sched.comm.CommModel`
 (empty token), keeping every legacy digest byte-identical.
 """
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ModelError
 from repro.model.architecture import Architecture, Interconnect
 from repro.model.mapping import Mapping
 
 #: Iteration cap of busy-period fixed points; on non-convergence the
-#: backends fall back to a saturated (hyperperiod-census) bound.
+#: backends fall back to a saturated census bound (see
+#: :func:`busy_period_table`).
 BUSY_PERIOD_ITERATIONS = 256
+#: Relative margin by which a row must be overloaded to skip iterating.
+_OVERLOAD_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -137,11 +141,6 @@ def attempt_cost(interconnect: Interconnect, size: float) -> float:
     if size <= 0:
         return interconnect.base_latency
     return interconnect.transfer_time(size)
-
-
-def _ceil_div(value: float, period: float) -> int:
-    """``ceil(value / period)`` with a guard against float-noise overshoot."""
-    return max(1, math.ceil(value / period - 1e-12))
 
 
 class BoundComm:
@@ -264,49 +263,79 @@ class CommBackend:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-def busy_period_worst(
-    own_cost: float,
-    blocking: float,
-    higher_priority: List[Tuple[float, float]],
-    hyperperiod_cap: float,
-) -> float:
-    """Non-preemptive fixed-priority busy-period response of one message.
+def busy_period_table(costs, periods, horizon: float) -> np.ndarray:
+    """Non-preemptive fixed-priority busy-period response of every site.
 
-    ``higher_priority`` lists ``(cost, period)`` of every competing
-    channel that wins arbitration; ``blocking`` is the longest
-    lower-priority transfer already occupying the medium (transfers are
-    not preempted mid-flight).  Iterates the classic recurrence
+    ``costs`` and ``periods`` list the medium occupancy ``C`` and the
+    minimum inter-arrival ``T`` of every site in arbitration order
+    (highest priority first, as :func:`channel_sites` sorts them).  Site
+    ``i`` is delayed by every site ``j < i`` once per release and is
+    blocked by ``B_i``, the longest lower-priority transfer already in
+    flight (transfers are not preempted).  All rows iterate the classic
+    recurrence together
 
-        ``w = blocking + own + sum_j ceil(w / T_j) * C_j``
+        ``w_i = B_i + C_i + sum_{j<i} max(1, ceil(w_i / T_j - 1e-12)) * C_j``
 
-    and, if the fixed point does not settle within
-    :data:`BUSY_PERIOD_ITERATIONS`, saturates to a census bound charging
-    every competitor once per release in ``hyperperiod_cap`` — larger but
-    still finite and safe.
+    (the ``1e-12`` guards against float-noise overshoot) from
+    ``w_i = B_i + C_i``; a row settles, with the new iterate, on the
+    first sweep that grows it by at most ``1e-12``.  Interference is
+    summed left to right over ``j`` (``np.add.accumulate``, not the
+    pairwise ``sum``), so every value is bit-identical to solving the
+    rows one at a time in plain Python.
+
+    A row that has not settled within :data:`BUSY_PERIOD_ITERATIONS`
+    sweeps saturates to a census bound: every competitor is charged one
+    release per period in the window ``max(horizon, B_i + C_i)`` plus
+    one carry-in — wide, but finite and safe.  The shared-bus backend
+    passes the longest channel period as ``horizon``.
+
+    **Overload short-circuit.**  A row whose competitor utilisation
+    ``U_i = sum_{j<i} C_j / T_j`` is at least ``1 + 1e-9`` and whose
+    ``B_i + C_i`` is at least ``1e-9 * (1 + sum_{j<i} C_j)`` goes straight
+    to the census with the identical value, because it can never settle:
+    ``max(1, ceil(w/T - 1e-12)) >= w/T - 1e-12`` gives
+
+        ``w' >= B_i + C_i + U_i * w - 1e-12 * sum_{j<i} C_j``
+        ``   >= w + (B_i + C_i) - 1e-12 * sum_{j<i} C_j > w + 1e-12``
+
+    for every iterate ``w > 0``.  The margins absorb the float rounding
+    of the sweep and of ``U_i`` itself (relative error below ``(2n + 5)``
+    ulps for ``n`` sites, far under ``1e-9`` for any table that fits in
+    memory); rows nearer the boundary iterate.
     """
-    if not higher_priority:
-        return blocking + own_cost
-    width = blocking + own_cost
-    for _ in range(BUSY_PERIOD_ITERATIONS):
-        interference = sum(
-            _ceil_div(width, period) * cost for cost, period in higher_priority
-        )
-        updated = blocking + own_cost + interference
-        if updated <= width + 1e-12:
-            return updated
-        width = updated
-    # An overloaded medium never settles (the recurrence grows without
-    # bound), so saturate over the hyperperiod window instead of the
-    # diverged iterate: every competitor is charged one release per
-    # period in the window plus one carry-in — wide, but finite.
-    horizon = max(hyperperiod_cap, blocking + own_cost)
-    saturated = blocking + own_cost + sum(
-        (_ceil_div(horizon, period) + 1) * cost
-        for cost, period in higher_priority
+    costs = np.asarray(costs, dtype=float)
+    periods = np.asarray(periods, dtype=float)
+    count = costs.size
+    if not count:
+        return np.zeros(0)
+    blocking = np.zeros(count)
+    blocking[:-1] = np.maximum.accumulate(costs[::-1])[::-1][1:]
+    own = blocking + costs
+    # Row i holds the costs of its competitors j < i, zero elsewhere;
+    # trailing zeros leave a left-to-right sum unchanged.
+    competitors = np.tril(np.broadcast_to(costs, (count, count)), k=-1)
+    utilisation = np.concatenate(([0.0], np.cumsum(costs / periods)[:-1]))
+    competing = np.concatenate(([0.0], np.cumsum(costs)[:-1]))
+    overloaded = (utilisation >= 1.0 + _OVERLOAD_MARGIN) & (
+        own >= _OVERLOAD_MARGIN * (1.0 + competing)
     )
-    return saturated
 
+    def interference(rows, width, carry_in=0.0):
+        releases = np.maximum(1.0, np.ceil(width[:, None] / periods - 1e-12))
+        charged = (releases + carry_in) * competitors[rows]
+        return np.add.accumulate(charged, axis=1)[:, -1]
 
-#: Interference map: for every site key, the ``(cost, period)`` list of
-#: the sites that can delay it.  Shared by the bus and NoC backends.
-InterferenceTable = Dict[Tuple[str, str], float]
+    worst = np.empty(count)
+    rows = np.flatnonzero(~overloaded)
+    width = own[rows]
+    for _ in range(BUSY_PERIOD_ITERATIONS):
+        if not rows.size:
+            break
+        updated = own[rows] + interference(rows, width)
+        settled = updated <= width + 1e-12
+        worst[rows[settled]] = updated[settled]
+        rows, width = rows[~settled], updated[~settled]
+    census = np.concatenate((np.flatnonzero(overloaded), rows))
+    window = np.maximum(horizon, own[census])
+    worst[census] = own[census] + interference(census, window, carry_in=1.0)
+    return worst

@@ -14,7 +14,8 @@ where ``C`` is the uncontended medium occupancy (``base_latency +
 size / bw``; pure-sync zero-size messages still occupy the arbiter for
 ``base_latency``) and ``T_j`` the competitor's graph period.  With no
 competitors this collapses to the flat bound, so ``flat <= shared-bus``
-holds channel-wise by construction.
+holds channel-wise by construction.  All channels are solved together
+by :func:`repro.comm.base.busy_period_table`.
 """
 
 from typing import Dict, Tuple
@@ -24,7 +25,7 @@ from repro.comm.base import (
     BoundComm,
     CommBackend,
     attempt_cost,
-    busy_period_worst,
+    busy_period_table,
     channel_sites,
 )
 from repro.model.architecture import Architecture, Interconnect
@@ -69,15 +70,12 @@ class SharedBusBackend(CommBackend):
         sites = channel_sites(applications, mapping, architecture)
         costs = [attempt_cost(interconnect, site.size) for site in sites]
         horizon = max((site.period for site in sites), default=0.0)
-        worst_table: Dict[Tuple[str, str], float] = {}
-        for index, site in enumerate(sites):
-            higher = [
-                (costs[j], sites[j].period) for j in range(index)
-            ]
-            blocking = max(costs[index + 1 :], default=0.0)
-            worst_table[site.key] = busy_period_worst(
-                costs[index], blocking, higher, horizon
-            )
+        worst = busy_period_table(
+            costs, [site.period for site in sites], horizon
+        )
+        worst_table: Dict[Tuple[str, str], float] = dict(
+            zip((site.key for site in sites), worst.tolist())
+        )
         digest = (
             f"bw={interconnect.bandwidth.hex()}"
             f":lat={interconnect.base_latency.hex()}"

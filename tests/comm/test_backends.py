@@ -3,7 +3,7 @@
 import pytest
 
 from repro.comm import make_comm
-from repro.comm.base import busy_period_worst
+from repro.comm.base import busy_period_table
 from repro.model.application import ApplicationSet
 from repro.model.architecture import Architecture, Interconnect, Processor
 from repro.model.mapping import Mapping
@@ -105,23 +105,27 @@ class TestSharedBus:
 
 class TestBusyPeriod:
     def test_no_competitors(self):
-        assert busy_period_worst(3.0, 2.0, [], 100.0) == pytest.approx(5.0)
+        # Row 0 wins arbitration, blocked once by the 2.0 transfer below it.
+        worst = busy_period_table([3.0, 2.0], [10.0, 20.0], 100.0)
+        assert worst[0] == 5.0
 
     def test_convergent_fixed_point(self):
-        worst = busy_period_worst(3.0, 0.0, [(2.0, 10.0)], 20.0)
-        assert worst == pytest.approx(5.0)
+        worst = busy_period_table([2.0, 3.0], [10.0, 20.0], 20.0)
+        assert worst[1] == 5.0
 
     def test_overload_saturates_finitely(self):
         # Utilization > 1: the recurrence diverges; the census fallback
-        # must stay finite and scale with the hyperperiod cap, not with
-        # the diverged iterate.
-        worst = busy_period_worst(1.0, 0.0, [(5.0, 1.0)], 10.0)
-        assert worst == pytest.approx(1.0 + (10 + 1) * 5.0)
+        # must stay finite and scale with the horizon, not with the
+        # diverged iterate.
+        worst = busy_period_table([5.0, 1.0], [1.0, 10.0], 10.0)
+        assert worst[1] == 1.0 + (10 + 1) * 5.0
 
     def test_overload_bound_dominates_own_cost(self):
-        worst = busy_period_worst(1.0, 2.0, [(5.0, 1.0), (3.0, 2.0)], 10.0)
-        assert worst >= 3.0
-        assert worst < 1e6
+        worst = busy_period_table(
+            [5.0, 3.0, 1.0, 2.0], [1.0, 2.0, 10.0, 10.0], 10.0
+        )
+        assert worst[2] >= 3.0
+        assert worst[2] < 1e6
 
 
 class TestTdma:
