@@ -241,19 +241,19 @@ class MixedCriticalityAnalysis:
         with trace_span("analysis.normal"):
             normal = self._sched(base)
 
-        graph_wcrt: Dict[str, float] = {}
-        normal_wcrt: Dict[str, float] = {}
-        worst_transition: Dict[str, Optional[str]] = {}
-        for graph in hardened.applications.graphs:
-            wcrt = normal.graph_wcrt(graph.name)
-            graph_wcrt[graph.name] = wcrt
-            normal_wcrt[graph.name] = wcrt
-            worst_transition[graph.name] = None
-
-        task_completion: Dict[str, float] = {
-            task.name: normal.task_max_finish(task.name)
-            for task in hardened.applications.all_tasks
-        }
+        graph_names = [graph.name for graph in hardened.applications.graphs]
+        task_names = [task.name for task in hardened.applications.all_tasks]
+        graph_groups = base.analyzed_groups("graph_name")
+        task_groups = base.analyzed_groups("task_name")
+        graph_at = np.array([graph_groups.positions[n] for n in graph_names], dtype=np.int64)
+        task_at = np.array([task_groups.positions[n] for n in task_names], dtype=np.int64)
+        # Running maxima over the normal state and every transition, in
+        # graph and task order; a transition takes a graph's label only
+        # when it is strictly worse than everything before it.
+        normal_wcrt = normal.aggregate("graph_wcrt")[graph_at]
+        graph_wcrt = normal_wcrt.copy()
+        worst_transition: List[Optional[str]] = [None] * len(graph_names)
+        task_completion = normal.aggregate("task_max_finish")[task_at]
 
         fast = self._fast_path
         warm_seed = normal if fast is not None and fast.warm_start else None
@@ -269,19 +269,19 @@ class MixedCriticalityAnalysis:
             dropped_set,
             self._zero_dropped_bcet,
         )
-        surviving_graphs = [
-            graph.name
-            for graph in hardened.applications.graphs
-            if graph.name not in dropped_set
-        ]
-        surviving_tasks = [
-            task.name
-            for task in hardened.applications.all_tasks
-            if hardened.source.owner_of(
-                hardened.derived_to_primary[task.name]
-            ).name
-            not in dropped_set
-        ]
+        surviving_graphs = np.flatnonzero(
+            [name not in dropped_set for name in graph_names]
+        )
+        surviving_names = [graph_names[k] for k in surviving_graphs.tolist()]
+        surviving_tasks = np.flatnonzero(
+            [
+                hardened.source.owner_of(hardened.derived_to_primary[name]).name
+                not in dropped_set
+                for name in task_names
+            ]
+        )
+        surviving_graph_at = graph_at[surviving_graphs]
+        surviving_task_at = task_at[surviving_tasks]
         transitions_pruned = 0
         transitions: List[TransitionInfo] = []
         for trigger, instance, window in self._enumerate_transitions(
@@ -302,17 +302,15 @@ class MixedCriticalityAnalysis:
                 bounds = self._sched(
                     base.with_bound_arrays(bcet, wcet), seed=warm_seed
                 )
-            transition_wcrt: Dict[str, float] = {}
-            for name in surviving_graphs:
-                wcrt = bounds.graph_wcrt(name)
-                transition_wcrt[name] = wcrt
-                if wcrt > graph_wcrt[name]:
-                    graph_wcrt[name] = wcrt
-                    worst_transition[name] = label
-            for name in surviving_tasks:
-                finish = bounds.task_max_finish(name)
-                if finish > task_completion[name]:
-                    task_completion[name] = finish
+            wcrt = bounds.aggregate("graph_wcrt")[surviving_graph_at]
+            worse = wcrt > graph_wcrt[surviving_graphs]
+            for k in surviving_graphs[worse].tolist():
+                worst_transition[k] = label
+            graph_wcrt[surviving_graphs[worse]] = wcrt[worse]
+            finish = bounds.aggregate("task_max_finish")[surviving_task_at]
+            later = finish > task_completion[surviving_tasks]
+            task_completion[surviving_tasks[later]] = finish[later]
+            transition_wcrt = dict(zip(surviving_names, wcrt.tolist()))
             transitions.append(
                 TransitionInfo(
                     trigger_primary=trigger.primary,
@@ -339,18 +337,23 @@ class MixedCriticalityAnalysis:
         verdicts = {
             graph.name: GraphVerdict(
                 graph=graph.name,
-                wcrt=graph_wcrt[graph.name],
-                normal_wcrt=normal_wcrt[graph.name],
+                wcrt=wcrt,
+                normal_wcrt=nominal,
                 deadline=graph.deadline,
                 dropped=graph.name in dropped_set,
-                worst_transition=worst_transition[graph.name],
+                worst_transition=label,
             )
-            for graph in hardened.applications.graphs
+            for graph, wcrt, nominal, label in zip(
+                hardened.applications.graphs,
+                graph_wcrt.tolist(),
+                normal_wcrt.tolist(),
+                worst_transition,
+            )
         }
         return MCAnalysisResult(
             verdicts=verdicts,
             transitions=tuple(transitions),
-            task_completion=task_completion,
+            task_completion=dict(zip(task_names, task_completion.tolist())),
             granularity=self._granularity,
             transitions_pruned=transitions_pruned,
         )
@@ -436,10 +439,10 @@ class MixedCriticalityAnalysis:
                 max_finish = normal.task_max_finish(trigger.finish_anchor)
                 yield trigger, None, (min_start, max_finish)
             else:
-                instances = sorted(
-                    job.instance
-                    for job in base.analyzed_jobs_of_task(trigger.finish_anchor)
+                members = base.analyzed_groups("task_name").members(
+                    trigger.finish_anchor
                 )
+                instances = sorted(base.columns.instance[members].tolist())
                 for instance in instances:
                     min_start = min(
                         normal.job_bounds((anchor, instance)).min_start
@@ -471,41 +474,42 @@ class _TransitionPlan:
         dropped_set: FrozenSet[str],
         zero_dropped_bcet: bool,
     ):
-        jobs = base.jobs
-        count = len(jobs)
-        self._base = base
+        columns = base.columns
+        count = len(base)
         self._bcet = base.bcet
         self._wcet = base.wcet
         self._normal_min_start = normal.min_start
         self._normal_max_finish = normal.max_finish
         self._hardened = hardened
+        self._task_groups = base.analyzed_groups("task_name")
+        self._instance = columns.instance
 
-        inflation: Dict[str, float] = {}
-        activated: Dict[str, float] = {}
-        in_dropped = np.zeros(count, dtype=bool)
-        redundant = np.zeros(count, dtype=bool)
-        passive = np.zeros(count, dtype=bool)
+        # Per template job (task or message name), then per job.
+        names = columns.task_names
+        redundant = np.array([hardened.is_time_redundant(n) for n in names], dtype=bool)
+        passive = np.array([hardened.is_passive(n) for n in names], dtype=bool)
+        inflation = np.array(
+            [hardened.critical_inflation(n) if r else 1.0 for n, r in zip(names, redundant)]
+        )
+        activated = np.array(
+            [
+                _activated_wcet(hardened, architecture, mapping, n) if p else 0.0
+                for n, p in zip(names, passive)
+            ]
+        )
+        analyzed = columns.analyzed
+        task = columns.task
+        in_dropped = analyzed & np.array(
+            [name in dropped_set for name in columns.graph_names], dtype=bool
+        )[columns.graph]
+        redundant = analyzed & redundant[task]
+        passive = analyzed & passive[task]
         #: Critical-state WCET of time-redundant jobs (Eq. (1)).
         self._inflated = np.array(self._wcet)
+        self._inflated[redundant] = self._wcet[redundant] * inflation[task[redundant]]
         #: WCET of passive copies once requested.
         self._activated = np.zeros(count)
-        for job in jobs:
-            if not job.analyzed:
-                continue
-            name = job.task_name
-            in_dropped[job.index] = job.graph_name in dropped_set
-            if hardened.is_time_redundant(name):
-                if name not in inflation:
-                    inflation[name] = hardened.critical_inflation(name)
-                redundant[job.index] = True
-                self._inflated[job.index] = job.wcet * inflation[name]
-            if hardened.is_passive(name):
-                if name not in activated:
-                    activated[name] = _activated_wcet(
-                        hardened, architecture, mapping, name
-                    )
-                passive[job.index] = True
-                self._activated[job.index] = activated[name]
+        self._activated[passive] = activated[task[passive]]
         self._dropped = in_dropped
         self._redundant = redundant & ~in_dropped
         self._passive = passive & ~redundant & ~in_dropped
@@ -550,13 +554,12 @@ class _TransitionPlan:
                     wcet[own] = self._activated[own]
         return bcet, wcet
 
-    def _jobs_of(self, task_name: str, instance: Optional[int]) -> List[int]:
+    def _jobs_of(self, task_name: str, instance: Optional[int]) -> np.ndarray:
         """Indices of the task's first-hyperperiod jobs (one instance)."""
-        return [
-            job.index
-            for job in self._base.analyzed_jobs_of_task(task_name)
-            if instance is None or job.instance == instance
-        ]
+        members = self._task_groups.members(task_name)
+        if instance is None:
+            return members
+        return members[self._instance[members] == instance]
 
 
 def _activated_wcet(

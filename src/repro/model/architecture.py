@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Tuple
 
 from repro.errors import ModelError
+from repro.model.task import require_finite
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,13 @@ class Processor:
     def __post_init__(self):
         if not self.name:
             raise ModelError("processor name must be a non-empty string")
+        require_finite(
+            f"processor {self.name!r}",
+            static_power=self.static_power,
+            dynamic_power=self.dynamic_power,
+            fault_rate=self.fault_rate,
+            speed=self.speed,
+        )
         if self.static_power < 0 or self.dynamic_power < 0:
             raise ModelError(f"processor {self.name!r}: power must be >= 0")
         if self.fault_rate < 0:
@@ -123,6 +131,14 @@ class Interconnect:
     slot_count: int = 0
 
     def __post_init__(self):
+        require_finite(
+            "interconnect",
+            bandwidth=self.bandwidth,
+            base_latency=self.base_latency,
+            arq_timeout=self.arq_timeout,
+            hop_latency=self.hop_latency,
+            slot_length=self.slot_length,
+        )
         if self.bandwidth <= 0:
             raise ModelError(f"interconnect bandwidth must be positive, got {self.bandwidth}")
         if self.base_latency < 0:

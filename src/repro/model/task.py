@@ -11,10 +11,19 @@ record their provenance.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.errors import ModelError
+
+
+def require_finite(owner: str, **values: float) -> None:
+    """Raise :class:`ModelError` naming the first non-finite (NaN or
+    infinite) field of ``owner``."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ModelError(f"{owner}: {name} must be a finite number, got {value!r}")
 
 
 class TaskRole(enum.Enum):
@@ -63,6 +72,13 @@ class Task:
     def __post_init__(self):
         if not self.name:
             raise ModelError("task name must be a non-empty string")
+        require_finite(
+            f"task {self.name!r}",
+            bcet=self.bcet,
+            wcet=self.wcet,
+            voting_overhead=self.voting_overhead,
+            detection_overhead=self.detection_overhead,
+        )
         if self.bcet < 0:
             raise ModelError(f"task {self.name!r}: bcet must be >= 0, got {self.bcet}")
         if self.wcet < self.bcet:
@@ -115,6 +131,7 @@ class Channel:
             raise ModelError("channel endpoints must be non-empty task names")
         if self.src == self.dst:
             raise ModelError(f"channel {self.src!r} -> {self.dst!r} is a self-loop")
+        require_finite(f"channel {self.src!r} -> {self.dst!r}", size=self.size)
         if self.size < 0:
             raise ModelError(
                 f"channel {self.src!r} -> {self.dst!r}: size must be >= 0"

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 import networkx as nx
 
 from repro.errors import ModelError
-from repro.model.task import Channel, Task
+from repro.model.task import Channel, Task, require_finite
 
 
 class Criticality(enum.Enum):
@@ -66,6 +66,11 @@ class TaskGraph:
     ):
         if not name:
             raise ModelError("task graph name must be a non-empty string")
+        require_finite(
+            f"graph {name!r}",
+            period=period,
+            deadline=period if deadline is None else deadline,
+        )
         if period <= 0:
             raise ModelError(f"graph {name!r}: period must be positive, got {period}")
         self._name = name
@@ -127,6 +132,8 @@ class TaskGraph:
             self._service_value = float(service_value)
 
         self._topo: Tuple[str, ...] = tuple(nx.lexicographical_topological_sort(graph))
+        #: Longest-predecessor-chain lengths, computed on first use.
+        self._depths: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------
     # Identity and scalar attributes
@@ -246,11 +253,13 @@ class TaskGraph:
     def depth(self, task_name: str) -> int:
         """Length of the longest predecessor chain ending at the task."""
         self.task(task_name)
-        depths: Dict[str, int] = {}
-        for name in self._topo:
-            preds = list(self._graph.predecessors(name))
-            depths[name] = 1 + max((depths[p] for p in preds), default=-1)
-        return depths[task_name]
+        if self._depths is None:
+            depths: Dict[str, int] = {}
+            for name in self._topo:
+                preds = self._graph.predecessors(name)
+                depths[name] = 1 + max((depths[p] for p in preds), default=-1)
+            self._depths = depths
+        return self._depths[task_name]
 
     def to_networkx(self) -> nx.DiGraph:
         """Copy of the dependency structure as a :class:`networkx.DiGraph`.

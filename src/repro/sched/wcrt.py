@@ -57,7 +57,7 @@ class ScheduleBounds:
     The four bound vectors are stored as read-only float arrays indexed
     by dense job index.  Task and graph aggregates are one
     ``ufunc.reduceat`` each over the job set's precomputed index groups,
-    computed on first use and kept.
+    computed on first use and kept (:meth:`aggregate`).
     """
 
     def __init__(
@@ -76,7 +76,7 @@ class ScheduleBounds:
         self.min_finish = read_only_array(min_finish)
         self.max_start = read_only_array(max_start)
         self.max_finish = read_only_array(max_finish)
-        self._aggregates: Dict[str, Dict[str, float]] = {}
+        self._aggregates: Dict[str, np.ndarray] = {}
         #: Whether the fixed point stabilised before the sweep limit.
         self.converged = converged
         #: Number of sweeps the iteration took.
@@ -140,33 +140,35 @@ class ScheduleBounds:
                 misses.append(job.job_id)
         return misses
 
-    def _lookup(self, aggregate: str, name: str, kind: str) -> float:
-        try:
-            return self._aggregate(aggregate)[name]
-        except KeyError:
-            raise AnalysisError(f"{kind} {name!r} has no analyzed jobs") from None
-
-    def _aggregate(self, aggregate: str) -> Dict[str, float]:
-        table = self._aggregates.get(aggregate)
-        if table is None:
+    def aggregate(self, aggregate: str) -> np.ndarray:
+        """``"graph_wcrt"``, ``"task_max_finish"`` or ``"task_min_start"``
+        for every group of the job set's :meth:`~repro.sched.jobs.JobSet.
+        analyzed_groups` (graph or task groups), in group order."""
+        values = self._aggregates.get(aggregate)
+        if values is None:
             if aggregate == "graph_wcrt":
                 groups = self._jobset.analyzed_groups("graph_name")
-                values = self.max_finish - self._jobset.release
+                source = self.max_finish - self._jobset.release
                 reduce = np.maximum.reduceat
             else:
                 groups = self._jobset.analyzed_groups("task_name")
                 if aggregate == "task_max_finish":
-                    values, reduce = self.max_finish, np.maximum.reduceat
+                    source, reduce = self.max_finish, np.maximum.reduceat
                 else:
-                    values, reduce = self.min_start, np.minimum.reduceat
-            reduced = (
-                reduce(values[groups.order], groups.starts).tolist()
-                if groups.names
-                else []
-            )
-            table = dict(zip(groups.names, reduced))
-            self._aggregates[aggregate] = table
-        return table
+                    source, reduce = self.min_start, np.minimum.reduceat
+            values = reduce(source[groups.order], groups.starts)
+            values.flags.writeable = False
+            self._aggregates[aggregate] = values
+        return values
+
+    def _lookup(self, aggregate: str, name: str, kind: str) -> float:
+        groups = self._jobset.analyzed_groups(
+            "graph_name" if kind == "graph" else "task_name"
+        )
+        position = groups.positions.get(name)
+        if position is None:
+            raise AnalysisError(f"{kind} {name!r} has no analyzed jobs")
+        return float(self.aggregate(aggregate)[position])
 
 
 class SchedBackend(Protocol):
@@ -186,71 +188,49 @@ class _Precomputed:
     """Index arrays shared by every analysis of structurally-equal job sets."""
 
     def __init__(self, jobset: JobSet):
-        jobs = jobset.jobs
-        count = self.count = len(jobs)
-        self.release = np.array(jobset.release)
+        columns = jobset.columns
+        count = self.count = len(jobset)
+        self.release = np.array(columns.release)
 
         # Topological levels: a job's level exceeds each predecessor's,
-        # so one pass over the levels visits predecessors first.
-        level = [0] * count
-        for index in jobset.topo_order:
-            for src, _best, _worst, _on_demand in jobs[index].preds:
-                level[index] = max(level[index], level[src] + 1)
-        by_level: List[List[int]] = [[] for _ in range(max(level, default=-1) + 1)]
-        for index in jobset.topo_order:
-            by_level[level[index]].append(index)
-        # Predecessor edges, grouped by consumer level; each level keeps
-        # its member array and the slice of edges into its members.
-        edges: List[tuple] = []
-        self.levels: List[Tuple[np.ndarray, slice]] = []
-        for members in by_level:
-            first = len(edges)
-            edges += [
-                (src, index, best, worst)
-                for index in members
-                for src, best, worst, _on_demand in jobs[index].preds
+        # so one pass over the levels visits predecessors first.  Jobs
+        # and predecessor edges are grouped by (consumer) level, each
+        # group in job order; a level keeps its member array and the
+        # slice of edges into its members.
+        with trace_span("sched.jobset.build", part="levels", jobs=count):
+            level = columns.level
+            by_level = np.argsort(level, kind="stable")
+            edges = np.argsort(level[columns.pred_dst], kind="stable")
+            self.pred_src = columns.pred_src[edges]
+            self.pred_dst = columns.pred_dst[edges]
+            self.pred_comm_best = columns.pred_best[edges]
+            self.pred_comm_worst = columns.pred_worst[edges]
+            steps = np.arange(int(level.max()) + 2)
+            member_cuts = np.searchsorted(level[by_level], steps).tolist()
+            edge_cuts = np.searchsorted(level[self.pred_dst], steps).tolist()
+            self.levels: List[Tuple[np.ndarray, slice]] = [
+                (by_level[member_cuts[k]:member_cuts[k + 1]],
+                 slice(edge_cuts[k], edge_cuts[k + 1]))
+                for k in range(len(steps) - 1)
             ]
-            self.levels.append((_ints(members), slice(first, len(edges))))
-        self.pred_src, self.pred_dst, self.pred_comm_best, self.pred_comm_worst = (
-            _columns(edges, (np.int64, np.int64, float, float))
-        )
 
-        # Interference pairs, interferers in the job set's order.
-        self.hp_victim, self.hp_other = _columns(
-            [
-                (index, other)
-                for index in range(count)
-                for other in jobset.higher_priority_on_same_pe(index)
-            ],
-            (np.int64, np.int64),
-        )
+        # Interference pairs: victims ascending, interferers in rank order.
+        self.hp_victim, self.hp_other = jobset.interference_pairs()
 
         # Batches partition the jobs, so members are listed batch by
         # batch and every job has exactly one batch.
-        batches = jobset.batches()
-        self.batch_count = len(batches)
-        self.batch_release = np.array([b.release for b in batches], dtype=float)
-        self.member_batch, self.member_flat = _columns(
-            [(b, m) for b, batch in enumerate(batches) for m in batch.members],
-            (np.int64, np.int64),
-        )
-        self.batch_starts = _ints(
-            np.flatnonzero(np.diff(self.member_batch, prepend=-1))
-        )
-        self.job_batch = np.zeros(count, dtype=np.int64)
-        self.job_batch[self.member_flat] = self.member_batch
-        self.ext_batch, self.ext_src, self.ext_comm = _columns(
-            [
-                (b, src, comm)
-                for b, batch in enumerate(batches)
-                for src, comm in batch.external_preds
-            ],
-            (np.int64, np.int64, float),
-        )
-        self.int_batch, self.int_other = _columns(
-            [(b, o) for b, batch in enumerate(batches) for o in batch.interferers],
-            (np.int64, np.int64),
-        )
+        batches = jobset.batch_columns()
+        self.batch_count = len(batches.release)
+        self.batch_release = batches.release
+        self.member_batch = batches.member_batch
+        self.member_flat = batches.member_flat
+        self.batch_starts = batches.batch_starts
+        self.job_batch = batches.job_batch
+        self.ext_batch = batches.ext_batch
+        self.ext_src = batches.ext_src
+        self.ext_comm = batches.ext_comm
+        self.int_batch = batches.int_batch
+        self.int_other = batches.int_other
 
     def forward(
         self,
@@ -274,17 +254,6 @@ class _Precomputed:
             if extra is not None:
                 finish[members] += extra[members]
         return start
-
-
-def _ints(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.int64)
-
-
-def _columns(rows: List[tuple], dtypes: tuple) -> List[np.ndarray]:
-    """One array per tuple position of ``rows`` (empty arrays if none)."""
-    if not rows:
-        return [np.zeros(0, dtype=dtype) for dtype in dtypes]
-    return [np.array(column, dtype=dtype) for column, dtype in zip(zip(*rows), dtypes)]
 
 
 def _sums(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:

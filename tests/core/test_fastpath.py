@@ -145,6 +145,15 @@ class TestFingerprint:
         assert same.fingerprint() == base.fingerprint()
 
 
+def _pin_overrides(base):
+    """The bound overrides the pinned clone digests were recorded with."""
+    jobs = base.analyzed_jobs
+    return {
+        jobs[0].job_id: (0.0, jobs[0].wcet * 3),
+        jobs[5].job_id: (jobs[5].bcet, jobs[5].wcet + 0.1),
+    }
+
+
 class TestFingerprintPins:
     """Literal digests: ScheduleCache and disk-tier keys must not drift.
 
@@ -164,25 +173,18 @@ class TestFingerprintPins:
         arch = cruise_benchmark().problem.architecture
         return MixedCriticalityAnalysis()._base_jobset(hardened, arch, mappings[0])
 
-    def _overrides(self, base):
-        jobs = base.analyzed_jobs
-        return {
-            jobs[0].job_id: (0.0, jobs[0].wcet * 3),
-            jobs[5].job_id: (jobs[5].bcet, jobs[5].wcet + 0.1),
-        }
-
     def test_base_digest(self, cruise_base):
         assert len(cruise_base) == 94
         assert cruise_base.fingerprint() == self.BASE
 
     def test_with_bounds_clone_digest(self, cruise_base):
-        clone = cruise_base.with_bounds(self._overrides(cruise_base))
+        clone = cruise_base.with_bounds(_pin_overrides(cruise_base))
         assert clone.fingerprint() == self.CLONE
 
     def test_array_clone_digest(self, cruise_base):
         bcet = np.array(cruise_base.bcet)
         wcet = np.array(cruise_base.wcet)
-        for job_id, (low, high) in self._overrides(cruise_base).items():
+        for job_id, (low, high) in _pin_overrides(cruise_base).items():
             index = cruise_base.index_of(job_id)
             bcet[index], wcet[index] = low, high
         clone = cruise_base.with_bound_arrays(bcet, wcet)
@@ -190,6 +192,45 @@ class TestFingerprintPins:
         # Reading .jobs builds the records from the arrays.
         assert [job.wcet for job in clone.jobs] == wcet.tolist()
         assert clone.fingerprint() == self.CLONE
+
+
+class TestPolicyFingerprintPins:
+    """Literal digests for EDF ranks and bus message jobs.
+
+    Both were recorded on the per-job build and must not drift: a column
+    value reaching the digest as a numpy scalar (``repr(np.int64(3))`` is
+    ``'np.int64(3)'`` under numpy 2) would silently change every key.
+    """
+
+    PINS = {
+        "edf": (
+            {"policy": "edf"},
+            94,
+            "40ef43602ceededc09762472f0c264da8f50566b3ccfa0a3f3c15293117a9770",
+            "433fef7ddcd9450f9a8c8ff86b19679583aa0ad76b15eea247c97571741ce598",
+        ),
+        "bus": (
+            {"bus_contention": True},
+            106,
+            "da656b589c5c1bc1c426ba9d00a2ed96991d50c822ece6800404fd34514d6e2b",
+            "721e53c8eca32d48ebc5ea10be8921b15afe7d67c4c67f27fe755c036b02aca3",
+        ),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(PINS))
+    def test_base_and_clone_digests(self, variant):
+        from repro.suites.cruise import cruise_benchmark, cruise_sample_mappings
+
+        options, count, base_digest, clone_digest = self.PINS[variant]
+        hardened, mappings = cruise_sample_mappings()
+        arch = cruise_benchmark().problem.architecture
+        base = MixedCriticalityAnalysis(**options)._base_jobset(
+            hardened, arch, mappings[0]
+        )
+        assert len(base) == count
+        assert base.fingerprint() == base_digest
+        clone = base.with_bounds(_pin_overrides(base))
+        assert clone.fingerprint() == clone_digest
 
 
 class TestScheduleCache:

@@ -238,6 +238,33 @@ class TestErrorContract:
             urllib.request.urlopen(request, timeout=30.0)
         assert info.value.code == 400
 
+    def test_nan_literal_in_body_400(self, client, bundle):
+        import json
+        import urllib.error
+        import urllib.request
+
+        from repro.serve.encoding import bundle_to_payload
+
+        system = bundle_to_payload(bundle)
+        system["applications"]["graphs"][0]["tasks"][0]["wcet"] = float("nan")
+        body = json.dumps({"system": system}).encode()
+        assert b"NaN" in body
+        batches = _counter("serve.batches")
+        request = urllib.request.Request(
+            client.base_url + "/v1/analyze",
+            data=body,
+            method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(request, timeout=30.0)
+        assert info.value.code == 400
+        error = json.loads(info.value.read())["error"]
+        assert error["type"] == "ModelError"
+        assert "wcet must be a finite number" in error["message"]
+        # Rejected at admission: nothing reached the batcher.
+        assert _counter("serve.batches") == batches
+
     def test_unknown_field_400(self, client, bundle):
         with pytest.raises(ServeError) as info:
             client.analyze(bundle, verbosity=3)
