@@ -11,9 +11,7 @@ close to the scheduling make-span".
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.problem import Problem
 from repro.errors import ModelError
@@ -112,6 +110,26 @@ def _draw_channel_size(rng: random.Random, config: TgffConfig) -> float:
     return round(rng.uniform(*config.comm_size_range), 1)
 
 
+def _weak_components(
+    names: List[str], edges: Iterable[Tuple[str, str]]
+) -> List[Set[str]]:
+    """Weakly-connected components, ordered by their first name in ``names``."""
+    parent = {name: name for name in names}
+
+    def root(name: str) -> str:
+        while parent[name] != name:
+            parent[name] = parent[parent[name]]
+            name = parent[name]
+        return name
+
+    for src, dst in edges:
+        parent[root(src)] = root(dst)
+    components: Dict[str, Set[str]] = {}
+    for name in names:
+        components.setdefault(root(name), set()).add(name)
+    return list(components.values())
+
+
 def generate_task_graph(
     name: str,
     rng: random.Random,
@@ -182,10 +200,7 @@ def generate_task_graph(
     # Stitch weakly-connected components together: grafting an edge from
     # the first layer-0 task to another component's source keeps the graph
     # a DAG and mirrors how TGFF emits single-component graphs.
-    union = nx.DiGraph()
-    union.add_nodes_from(t.name for t in tasks)
-    union.add_edges_from(existing)
-    components = list(nx.weakly_connected_components(union))
+    components = _weak_components([t.name for t in tasks], existing)
     if len(components) > 1:
         anchor = layers[0][0]
         for component in components:

@@ -27,6 +27,7 @@ from repro.hardening.transform import HardenedSystem, harden
 from repro.obs import events as obs_events
 from repro.obs.events import EvaluationCompleted
 from repro.obs.metrics import metrics
+from repro.obs.trace import span as trace_span
 from repro.reliability.constraints import check_reliability
 
 
@@ -132,7 +133,8 @@ class Evaluator:
         violations: List[str] = []
 
         try:
-            hardened = harden(self._problem.applications, design.plan)
+            with trace_span("hardening.harden"):
+                hardened = harden(self._problem.applications, design.plan)
         except ReproError as error:
             return EvaluationResult(
                 design=design,
@@ -159,7 +161,10 @@ class Evaluator:
         violations.extend(placement)
         severity += 10.0 * len(placement)
         for violation in check_reliability(
-            hardened, design.mapping, self._problem.architecture
+            self._problem.applications,
+            design.plan,
+            design.mapping,
+            self._problem.architecture,
         ):
             violations.append(f"reliability: {violation}")
             severity += min(

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.problem import DesignPoint, Problem
 from repro.errors import ExplorationError
 from repro.hardening.spec import HardeningPlan, HardeningSpec
-from repro.hardening.transform import NAME_SEPARATOR
+from repro.hardening.transform import copy_names, voter_name
 from repro.model.mapping import Mapping
 
 
@@ -154,12 +154,12 @@ class Chromosome:
             plan_specs[task.name] = spec
             assignment[task.name] = gene.processor
             if spec.is_replicated:
-                for offset, processor in enumerate(gene.active_replicas, start=1):
-                    assignment[f"{task.name}{NAME_SEPARATOR}r{offset}"] = processor
-                for offset, processor in enumerate(gene.passive_replicas):
-                    assignment[f"{task.name}{NAME_SEPARATOR}p{offset}"] = processor
+                processors = (
+                    (gene.processor,) + gene.active_replicas + gene.passive_replicas
+                )
+                assignment.update(zip(copy_names(task.name, spec), processors))
                 voter = gene.voter_processor or gene.processor
-                assignment[f"{task.name}{NAME_SEPARATOR}vote"] = voter
+                assignment[voter_name(task.name)] = voter
 
         allocation = frozenset(self.allocated_processors(problem))
         if not allocation:

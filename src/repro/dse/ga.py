@@ -437,7 +437,8 @@ class Explorer:
                     pool = _unique(archive + population)
                     results = [self._cache[c.key()] for c in pool]
                     objectives = [r.objectives for r in results]
-                    archive = [pool[i] for i in selector.select(objectives)]
+                    with trace_span("dse.select"):
+                        archive = [pool[i] for i in selector.select(objectives)]
 
                     feasible_in_archive = [
                         self._cache[c.key()]
@@ -538,7 +539,8 @@ class Explorer:
                     archive_objectives = [
                         self._cache[c.key()].objectives for c in archive
                     ]
-                    fitness = selector.fitness(archive_objectives)
+                    with trace_span("dse.select"):
+                        fitness = selector.fitness(archive_objectives)
                     offspring: List[Chromosome] = []
                     for _ in range(config.offspring_size):
                         parent_a = archive[selector.tournament(fitness, rng)]

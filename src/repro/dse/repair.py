@@ -20,12 +20,12 @@ Repairs applied, in order:
 
 import random
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.problem import Problem
 from repro.dse.chromosome import Chromosome, TaskGene
 from repro.errors import ReproError
-from repro.hardening.transform import harden
+from repro.obs.trace import span as trace_span
 from repro.reliability.constraints import check_reliability
 
 #: Cap on reliability-escalation rounds per repair call.
@@ -45,13 +45,20 @@ def repair(
     is best-effort within ``reliability_rounds`` escalations — candidates
     still violating afterwards are left to the fitness penalty.
     """
-    chromosome = _repair_allocation(chromosome, rng)
-    allocated = list(chromosome.allocated_processors(problem))
-    chromosome = _repair_mappings(chromosome, allocated, rng)
-    chromosome = _repair_replica_shapes(chromosome, allocated, rng)
-    chromosome = _repair_reliability(
-        chromosome, problem, allocated, rng, reliability_rounds
-    )
+    with trace_span("dse.repair") as repair_span:
+        chromosome = _repair_allocation(chromosome, rng)
+        allocated = list(chromosome.allocated_processors(problem))
+        chromosome = _repair_mappings(chromosome, allocated, rng)
+        chromosome = _repair_replica_shapes(chromosome, allocated, rng)
+        chromosome, escalations = _repair_reliability(
+            chromosome, problem, allocated, rng, reliability_rounds
+        )
+        # Every escalation follows a failed check; one more check ends the
+        # loop unless the round budget ran out first.
+        repair_span.set_attributes(
+            rounds=min(escalations + 1, reliability_rounds),
+            escalations=escalations,
+        )
     return chromosome
 
 
@@ -125,8 +132,6 @@ def _repair_replica_shapes(
                     active_replicas=(promoted,),
                     passive_replicas=new_gene.passive_replicas[1:],
                 )
-                if not new_gene.passive_replicas:
-                    pass  # became plain active duplication — still valid
             total = 1 + len(new_gene.active_replicas) + len(new_gene.passive_replicas)
             if total > len(allocated):
                 # Not enough processors for disjoint copies: collapse to
@@ -188,19 +193,24 @@ def _repair_reliability(
     allocated: List[str],
     rng: random.Random,
     rounds: int,
-) -> Chromosome:
-    """Escalate random hardening until the reliability constraints hold."""
-    for _round in range(rounds):
+) -> Tuple[Chromosome, int]:
+    """Escalate random hardening until the reliability constraints hold.
+
+    Returns the chromosome and the number of escalations applied.
+    """
+    for escalations in range(rounds):
         try:
             design = chromosome.decode(problem)
-            hardened = harden(problem.applications, design.plan)
             violations = check_reliability(
-                hardened, design.mapping, problem.architecture
+                problem.applications,
+                design.plan,
+                design.mapping,
+                problem.architecture,
             )
         except ReproError:
-            return chromosome  # structurally broken beyond this repair
+            return chromosome, escalations  # structurally broken beyond this repair
         if not violations:
-            return chromosome
+            return chromosome, escalations
         violation = rng.choice(violations)
         graph = problem.applications.graph(violation.graph)
         task = rng.choice(graph.tasks)
@@ -209,7 +219,7 @@ def _repair_reliability(
             task.name, _escalate(gene, allocated, rng)
         )
         chromosome = _repair_replica_shapes(chromosome, allocated, rng)
-    return chromosome
+    return chromosome, rounds
 
 
 def _escalate(
@@ -223,7 +233,7 @@ def _escalate(
         choices.append("active")
     choice = rng.choice(choices)
 
-    if choice == "reexecution" or not gene.is_replicated and choice == "reexecution":
+    if choice == "reexecution":
         if gene.is_replicated:
             # Deepen the group instead: one more active copy if possible.
             if 1 + len(gene.active_replicas) + len(gene.passive_replicas) < len(allocated):

@@ -29,6 +29,27 @@ from repro.model.taskgraph import TaskGraph
 NAME_SEPARATOR = "#"
 
 
+def copy_names(primary: str, spec: HardeningSpec) -> Tuple[str, ...]:
+    """Names of a task's copies in ``T'``: the primary first, then the
+    active replicas ``#r1..``, then the passive copies ``#p0..``.
+
+    A task that is not replicated has one copy, itself.
+    """
+    if not spec.is_replicated:
+        return (primary,)
+    active = spec.effective_active_replicas
+    return (
+        (primary,)
+        + tuple(f"{primary}{NAME_SEPARATOR}r{i}" for i in range(1, active))
+        + tuple(f"{primary}{NAME_SEPARATOR}p{j}" for j in range(spec.passive_replicas))
+    )
+
+
+def voter_name(primary: str) -> str:
+    """Name of the majority voter of a replicated task."""
+    return f"{primary}{NAME_SEPARATOR}vote"
+
+
 @dataclass(frozen=True)
 class CriticalTrigger:
     """A task whose first fault switches the system to the critical state.
@@ -308,28 +329,12 @@ def _replicate(
     task: Task, spec: HardeningSpec
 ) -> Tuple[List[Task], Task, List[Channel], List[str]]:
     """Build the copies, voter and internal channels for one task."""
-    active_count = spec.effective_active_replicas
-    copies: List[Task] = []
-    passive_names: List[str] = []
-
+    names = copy_names(task.name, spec)
+    active_names = list(names[: spec.effective_active_replicas])
+    passive_names = list(names[spec.effective_active_replicas:])
     # Primary keeps its name and acts as copy 0.
-    copies.append(task)
-    for index in range(1, active_count):
-        copies.append(
-            Task(
-                name=f"{task.name}{NAME_SEPARATOR}r{index}",
-                bcet=task.bcet,
-                wcet=task.wcet,
-                voting_overhead=task.voting_overhead,
-                detection_overhead=task.detection_overhead,
-                role=TaskRole.REPLICA,
-                origin=task.name,
-                replica_index=index,
-            )
-        )
-    for offset in range(spec.passive_replicas):
-        index = active_count + offset
-        name = f"{task.name}{NAME_SEPARATOR}p{offset}"
+    copies: List[Task] = [task]
+    for index, name in enumerate(names[1:], start=1):
         copies.append(
             Task(
                 name=name,
@@ -342,10 +347,9 @@ def _replicate(
                 replica_index=index,
             )
         )
-        passive_names.append(name)
 
     voter = Task(
-        name=f"{task.name}{NAME_SEPARATOR}vote",
+        name=voter_name(task.name),
         bcet=task.voting_overhead,
         wcet=task.voting_overhead,
         role=TaskRole.VOTER,
@@ -353,7 +357,6 @@ def _replicate(
     )
 
     channels: List[Channel] = []
-    active_names = [copy.name for copy in copies if copy.name not in passive_names]
     for copy in copies:
         channels.append(
             Channel(

@@ -10,10 +10,9 @@ this as ``f_t = -1``, here it is ``reliability_target=None``.
 """
 
 import enum
+import heapq
 import math
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.errors import ModelError
 from repro.model.task import Channel, Task, require_finite
@@ -88,8 +87,8 @@ class TaskGraph:
             raise ModelError(f"graph {name!r}: must contain at least one task")
 
         self._channels: Dict[Tuple[str, str], Channel] = {}
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._tasks)
+        preds: Dict[str, List[str]] = {task: [] for task in self._tasks}
+        succs: Dict[str, List[str]] = {task: [] for task in self._tasks}
         for channel in channels:
             for endpoint in (channel.src, channel.dst):
                 if endpoint not in self._tasks:
@@ -101,11 +100,12 @@ class TaskGraph:
                     f"graph {name!r}: duplicate channel {channel.src!r} -> {channel.dst!r}"
                 )
             self._channels[channel.key] = channel
-            graph.add_edge(channel.src, channel.dst)
-        if not nx.is_directed_acyclic_graph(graph):
-            cycle = nx.find_cycle(graph)
-            raise ModelError(f"graph {name!r}: contains a cycle {cycle}")
-        self._graph = graph
+            preds[channel.dst].append(channel.src)
+            succs[channel.src].append(channel.dst)
+        #: Direct predecessors / successors of every task, sorted by name.
+        self._preds = {task: tuple(sorted(names)) for task, names in preds.items()}
+        self._succs = {task: tuple(sorted(names)) for task, names in succs.items()}
+        self._topo: Tuple[str, ...] = self._lexicographic_order()
 
         if reliability_target is not None:
             if not 0 < reliability_target <= 1:
@@ -131,9 +131,47 @@ class TaskGraph:
             self._reliability_target = None
             self._service_value = float(service_value)
 
-        self._topo: Tuple[str, ...] = tuple(nx.lexicographical_topological_sort(graph))
         #: Longest-predecessor-chain lengths, computed on first use.
         self._depths: Optional[Dict[str, int]] = None
+
+    def _lexicographic_order(self) -> Tuple[str, ...]:
+        """Kahn's algorithm, always emitting the smallest ready name.
+
+        Raises :class:`~repro.errors.ModelError` naming a cycle when some
+        task never becomes ready.
+        """
+        waiting = {task: len(preds) for task, preds in self._preds.items()}
+        ready = [task for task, count in waiting.items() if count == 0]
+        heapq.heapify(ready)
+        order: List[str] = []
+        while ready:
+            task = heapq.heappop(ready)
+            order.append(task)
+            for successor in self._succs[task]:
+                waiting[successor] -= 1
+                if waiting[successor] == 0:
+                    heapq.heappush(ready, successor)
+        if len(order) < len(waiting):
+            raise ModelError(
+                f"graph {self._name!r}: contains a cycle {self._find_cycle(waiting)}"
+            )
+        return tuple(order)
+
+    def _find_cycle(self, waiting: Dict[str, int]) -> List[Tuple[str, str]]:
+        """Edges of one cycle among the tasks Kahn's algorithm left over.
+
+        Every left-over task has a left-over predecessor, so walking
+        predecessors from any of them must revisit a task.
+        """
+        task = next(t for t, count in waiting.items() if count)
+        path: List[str] = []
+        seen: Dict[str, int] = {}
+        while task not in seen:
+            seen[task] = len(path)
+            path.append(task)
+            task = next(p for p in self._preds[task] if waiting[p])
+        loop = path[seen[task]:][::-1]
+        return [(src, dst) for src, dst in zip(loop, loop[1:] + loop[:1])]
 
     # ------------------------------------------------------------------
     # Identity and scalar attributes
@@ -221,12 +259,12 @@ class TaskGraph:
     def predecessors(self, task_name: str) -> List[str]:
         """Direct predecessors of a task, sorted by name."""
         self.task(task_name)
-        return sorted(self._graph.predecessors(task_name))
+        return list(self._preds[task_name])
 
     def successors(self, task_name: str) -> List[str]:
         """Direct successors of a task, sorted by name."""
         self.task(task_name)
-        return sorted(self._graph.successors(task_name))
+        return list(self._succs[task_name])
 
     def in_channels(self, task_name: str) -> List[Channel]:
         """Channels entering a task."""
@@ -239,12 +277,12 @@ class TaskGraph:
     @property
     def sources(self) -> List[str]:
         """Tasks without predecessors."""
-        return sorted(n for n in self._graph if self._graph.in_degree(n) == 0)
+        return sorted(n for n, preds in self._preds.items() if not preds)
 
     @property
     def sinks(self) -> List[str]:
         """Tasks without successors."""
-        return sorted(n for n in self._graph if self._graph.out_degree(n) == 0)
+        return sorted(n for n, succs in self._succs.items() if not succs)
 
     def topological_order(self) -> Tuple[str, ...]:
         """Deterministic topological ordering of the task names."""
@@ -256,22 +294,11 @@ class TaskGraph:
         if self._depths is None:
             depths: Dict[str, int] = {}
             for name in self._topo:
-                preds = self._graph.predecessors(name)
-                depths[name] = 1 + max((depths[p] for p in preds), default=-1)
+                depths[name] = 1 + max(
+                    (depths[p] for p in self._preds[name]), default=-1
+                )
             self._depths = depths
         return self._depths[task_name]
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Copy of the dependency structure as a :class:`networkx.DiGraph`.
-
-        Nodes carry a ``task`` attribute, edges a ``channel`` attribute.
-        """
-        graph = nx.DiGraph(name=self._name)
-        for name, task in self._tasks.items():
-            graph.add_node(name, task=task)
-        for channel in self._channels.values():
-            graph.add_edge(channel.src, channel.dst, channel=channel)
-        return graph
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -289,9 +316,7 @@ class TaskGraph:
         """
         finish: Dict[str, float] = {}
         for name in self._topo:
-            start = max(
-                (finish[p] for p in self._graph.predecessors(name)), default=0.0
-            )
+            start = max((finish[p] for p in self._preds[name]), default=0.0)
             finish[name] = start + self._tasks[name].wcet
         return max(finish.values())
 

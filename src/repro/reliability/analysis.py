@@ -22,8 +22,9 @@ from itertools import product
 from typing import Dict, Sequence
 
 from repro.errors import AnalysisError
-from repro.hardening.spec import HardeningKind, HardeningSpec
-from repro.hardening.transform import HardenedSystem
+from repro.hardening.spec import HardeningKind, HardeningPlan, HardeningSpec
+from repro.hardening.transform import copy_names
+from repro.model.application import ApplicationSet
 from repro.model.architecture import Architecture, Processor
 from repro.model.mapping import Mapping
 from repro.model.task import Task
@@ -102,7 +103,8 @@ def _majority_failure_probability(fault_probabilities: Sequence[float]) -> float
 
 
 def graph_unsafe_probability(
-    hardened: HardenedSystem,
+    applications: ApplicationSet,
+    plan: HardeningPlan,
     graph_name: str,
     mapping: Mapping,
     architecture: Architecture,
@@ -110,27 +112,34 @@ def graph_unsafe_probability(
     """Probability that one instance of an application ends unsafely.
 
     Task faults are independent, so the instance is safe only if every
-    primary task's (hardened) execution is safe.
+    primary task's (hardened) execution is safe.  Only each task's spec
+    and the processors of its copies matter, so the hardened system
+    ``T'`` is never built: copies are located through the naming scheme
+    of :func:`~repro.hardening.transform.copy_names`.
     """
-    source_graph = hardened.source.graph(graph_name)
     safe = 1.0
-    for task in source_graph.tasks:
-        spec = hardened.plan.spec_of(task.name)
-        copy_names = hardened.replica_groups.get(task.name, (task.name,))
-        processors = [architecture.processor(mapping[name]) for name in copy_names]
+    for task in applications.graph(graph_name).tasks:
+        spec = plan.spec_of(task.name)
+        processors = [
+            architecture.processor(mapping[name])
+            for name in copy_names(task.name, spec)
+        ]
         safe *= 1.0 - task_unsafe_probability(task, spec, processors)
     return 1.0 - safe
 
 
 def graph_failure_rate(
-    hardened: HardenedSystem,
+    applications: ApplicationSet,
+    plan: HardeningPlan,
     graph_name: str,
     mapping: Mapping,
     architecture: Architecture,
 ) -> float:
     """Expected unsafe executions per unit time (to compare against ``f_t``)."""
-    graph = hardened.source.graph(graph_name)
-    return graph_unsafe_probability(hardened, graph_name, mapping, architecture) / graph.period
+    probability = graph_unsafe_probability(
+        applications, plan, graph_name, mapping, architecture
+    )
+    return probability / applications.graph(graph_name).period
 
 
 def per_task_unsafe_budget(graph_task_count: int, reliability_target: float, period: float) -> float:
@@ -146,7 +155,8 @@ def per_task_unsafe_budget(graph_task_count: int, reliability_target: float, per
 
 
 def system_reliability_report(
-    hardened: HardenedSystem,
+    applications: ApplicationSet,
+    plan: HardeningPlan,
     mapping: Mapping,
     architecture: Architecture,
 ) -> Dict[str, Dict[str, float]]:
@@ -156,9 +166,9 @@ def system_reliability_report(
     for every non-droppable application (droppable graphs carry no target).
     """
     report: Dict[str, Dict[str, float]] = {}
-    for graph in hardened.source.critical_graphs:
+    for graph in applications.critical_graphs:
         probability = graph_unsafe_probability(
-            hardened, graph.name, mapping, architecture
+            applications, plan, graph.name, mapping, architecture
         )
         rate = probability / graph.period
         target = graph.reliability_target

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import AnalysisError
-from repro.hardening.spec import HardeningKind, HardeningSpec
-from repro.hardening.transform import HardenedSystem
+from repro.hardening.spec import HardeningKind, HardeningPlan, HardeningSpec
+from repro.model.application import ApplicationSet
 from repro.model.architecture import Architecture
 from repro.model.mapping import Mapping
 from repro.reliability.analysis import graph_failure_rate
@@ -39,14 +39,21 @@ class ReliabilityViolation:
 
 
 def check_reliability(
-    hardened: HardenedSystem,
+    applications: ApplicationSet,
+    plan: HardeningPlan,
     mapping: Mapping,
     architecture: Architecture,
 ) -> List[ReliabilityViolation]:
-    """All reliability violations of a design point (empty when feasible)."""
+    """All reliability violations of a design point (empty when feasible).
+
+    ``applications`` is the source set ``T`` and ``mapping`` covers the
+    copies that ``plan`` implies; the hardened ``T'`` is not needed.
+    """
     violations: List[ReliabilityViolation] = []
-    for graph in hardened.source.critical_graphs:
-        rate = graph_failure_rate(hardened, graph.name, mapping, architecture)
+    for graph in applications.critical_graphs:
+        rate = graph_failure_rate(
+            applications, plan, graph.name, mapping, architecture
+        )
         if rate > graph.reliability_target:
             violations.append(
                 ReliabilityViolation(

@@ -26,6 +26,7 @@ induction — so it is a member of the computed interference set.  The
 fixed point therefore dominates every actual schedule.
 """
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
@@ -184,10 +185,70 @@ class SchedBackend(Protocol):
         ...
 
 
+class _PairSpace:
+    """Reusable arrays over one list of (victim, interferer) pairs.
+
+    ``wcet``, ``min_start`` and ``window_start`` hold each analysis's
+    per-pair inputs; ``scratch``, ``early`` and ``late`` are the sweep
+    temporaries, views of buffers shared with the structure's other pair
+    list.  Each thread keeps its own (:meth:`_Precomputed.workspace`):
+    with ~20k pairs a float array is just over glibc's 128 KiB mmap and
+    trim thresholds, so fresh arrays per analysis and per sweep would be
+    mapped, faulted in and unmapped again and again.
+    """
+
+    def __init__(self, pairs: int, temporaries: Tuple[np.ndarray, ...]):
+        self.wcet = np.empty(pairs)
+        self.min_start = np.empty(pairs)
+        self.window_start = np.empty(pairs)
+        self.scratch, self.early, self.late = (
+            buffer[:pairs] for buffer in temporaries
+        )
+
+    def load(
+        self,
+        wcet: np.ndarray,
+        min_start: np.ndarray,
+        other: np.ndarray,
+        window_start: np.ndarray,
+        window_index: np.ndarray,
+    ) -> None:
+        """Gather one analysis's per-pair interferer WCETs and earliest
+        starts (``other``) and window starts (``window_index``)."""
+        wcet.take(other, out=self.wcet, mode="clip")
+        min_start.take(other, out=self.min_start, mode="clip")
+        window_start.take(window_index, out=self.window_start, mode="clip")
+
+    def overlap_weights(
+        self,
+        window_end: np.ndarray,
+        end_index: np.ndarray,
+        finish: np.ndarray,
+        other: np.ndarray,
+    ) -> np.ndarray:
+        """``wcet`` where the interferer window ``[min_start, finish[other]]``
+        overlaps ``[window_start, window_end[end_index]]``, else 0.0.
+
+        Gathers (here and in :meth:`load`) use ``mode="clip"``: the
+        indices are in range by construction, and the default mode buffers
+        internally.  The mask is applied as a product, exact because WCETs
+        are finite and non-negative.
+        """
+        scratch, early, late = self.scratch, self.early, self.late
+        window_end.take(end_index, out=scratch, mode="clip")
+        np.less(self.min_start, scratch, out=early)
+        finish.take(other, out=scratch, mode="clip")
+        np.greater(scratch, self.window_start, out=late)
+        early &= late
+        return np.multiply(self.wcet, early, out=scratch)
+
+
 class _Precomputed:
     """Index arrays shared by every analysis of structurally-equal job sets."""
 
     def __init__(self, jobset: JobSet):
+        #: Per-thread workspace, built on a thread's first use.
+        self._local = threading.local()
         columns = jobset.columns
         count = self.count = len(jobset)
         self.release = np.array(columns.release)
@@ -231,6 +292,21 @@ class _Precomputed:
         self.ext_comm = batches.ext_comm
         self.int_batch = batches.int_batch
         self.int_other = batches.int_other
+
+    def workspace(self) -> Tuple[_PairSpace, _PairSpace]:
+        """The calling thread's pair spaces for this structure: over the
+        interference pairs and over the batch-interferer pairs."""
+        spaces = getattr(self._local, "spaces", None)
+        if spaces is None:
+            # A sweep consumes one space's temporaries before it fills the
+            # other's, so the two share them.
+            size = max(len(self.hp_victim), len(self.int_batch))
+            temporaries = (np.empty(size), np.empty(size, bool), np.empty(size, bool))
+            spaces = self._local.spaces = (
+                _PairSpace(len(self.hp_victim), temporaries),
+                _PairSpace(len(self.int_batch), temporaries),
+            )
+        return spaces
 
     def forward(
         self,
@@ -305,12 +381,9 @@ class WindowAnalysisBackend:
             min_start[pre.member_flat], pre.batch_starts
         )
         batch_work = _sums(pre.member_batch, wcet[pre.member_flat], pre.batch_count)
-        int_wcet = wcet[pre.int_other]
-        int_min_start = min_start[pre.int_other]
-        int_window_start = batch_window_start[pre.int_batch]
-        hp_wcet = wcet[pre.hp_other]
-        hp_min_start = min_start[pre.hp_other]
-        victim_min_start = min_start[pre.hp_victim]
+        hp, batch = pre.workspace()
+        hp.load(wcet, min_start, pre.hp_other, min_start, pre.hp_victim)
+        batch.load(wcet, min_start, pre.int_other, batch_window_start, pre.int_batch)
 
         # ---- worst case: monotone Jacobi iteration ----
         # Two sound bounds per job: the per-job interference bound and the
@@ -329,11 +402,12 @@ class WindowAnalysisBackend:
                 batch_window_end = np.maximum.reduceat(
                     max_finish[pre.member_flat], pre.batch_starts
                 )
-                overlap = (int_min_start < batch_window_end[pre.int_batch]) & (
-                    max_finish[pre.int_other] > int_window_start
-                )
                 batch_interference = _sums(
-                    pre.int_batch, np.where(overlap, int_wcet, 0.0), pre.batch_count
+                    pre.int_batch,
+                    batch.overlap_weights(
+                        batch_window_end, pre.int_batch, max_finish, pre.int_other
+                    ),
+                    pre.batch_count,
                 )
                 batch_bound = batch_arrival + batch_work + batch_interference
                 batch_cap = batch_bound[pre.job_batch]
@@ -345,11 +419,12 @@ class WindowAnalysisBackend:
                     max_finish[pre.pred_src] + pre.pred_comm_worst,
                 )
 
-                overlap = (hp_min_start < max_finish[pre.hp_victim]) & (
-                    max_finish[pre.hp_other] > victim_min_start
-                )
                 interference = _sums(
-                    pre.hp_victim, np.where(overlap, hp_wcet, 0.0), count
+                    pre.hp_victim,
+                    hp.overlap_weights(
+                        max_finish, pre.hp_victim, max_finish, pre.hp_other
+                    ),
+                    count,
                 )
 
                 candidate = np.minimum(arrival + wcet + interference, batch_cap)
@@ -365,7 +440,7 @@ class WindowAnalysisBackend:
             # the processor, independent of windows.  One level-ordered
             # pass computes each value from already-final predecessors,
             # so it is its own fixed point.
-            hp_total = _sums(pre.hp_victim, hp_wcet, count)
+            hp_total = _sums(pre.hp_victim, hp.wcet, count)
             pre.forward(max_finish, pre.pred_comm_worst, wcet, hp_total)
 
         return ScheduleBounds(

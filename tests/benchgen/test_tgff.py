@@ -1,5 +1,7 @@
 """Unit tests for the TGFF-style benchmark generator."""
 
+import hashlib
+import json
 import random
 
 import networkx as nx
@@ -10,12 +12,15 @@ from hypothesis import strategies as st
 from repro.benchgen.tgff import (
     GraphShape,
     TgffConfig,
+    comm_dominated_problem,
     generate_application_set,
     generate_architecture,
     generate_problem,
     generate_task_graph,
 )
 from repro.errors import ModelError
+from repro.model.serialization import application_set_to_dict, architecture_to_dict
+from tests.model.nx_oracle import to_digraph
 
 
 class TestConfigValidation:
@@ -56,7 +61,7 @@ class TestGraphGeneration:
             graph = generate_task_graph("g", random.Random(seed))
             if len(graph) == 1:
                 continue
-            undirected = graph.to_networkx().to_undirected()
+            undirected = to_digraph(graph).to_undirected()
             assert nx.is_connected(undirected)
 
     def test_every_nonsource_has_predecessor(self):
@@ -136,3 +141,48 @@ def test_generated_problems_are_always_valid(seed):
     assert apps.hyperperiod == max(g.period for g in apps.graphs)
     for graph in apps.graphs:
         assert graph.critical_path_wcet() <= graph.period
+
+
+def _problem_digest(problem) -> str:
+    payload = {
+        "applications": application_set_to_dict(problem.applications),
+        "architecture": architecture_to_dict(problem.architecture),
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+#: Flat shapes leave several weakly-connected components per graph, so the
+#: order in which they are stitched (one channel-size draw each) shows.
+_FLAT = GraphShape(
+    min_tasks=3, max_tasks=8, min_layers=1, max_layers=2, extra_edge_probability=0.0
+)
+
+
+class TestGeneratedBytes:
+    """``generate_problem`` output pinned byte for byte (sha256 of the
+    sorted-key JSON of applications and architecture)."""
+
+    @pytest.mark.parametrize(
+        "args, config, digest",
+        [
+            ((1, 2, 2, 4), None,
+             "6b9ba7d3fdd14cd9ecfa16b7e8772ebc0b39305e7eb06fdeaca0dbfac4a27764"),
+            ((11, 4, 4, 4), None,
+             "56b08676046ffdb708d7796b2867ee45ebc0871e8a5d361dc46a2d5293577ae2"),
+            ((11, 10, 10, 8), None,
+             "b4e3becde423b56cba796f53102e224b37680ce6abb8734daa0a9e9275f5af6c"),
+            ((23, 1, 5, 3), None,
+             "70d56523859278a0b1156a44c819087b7954a24fce8b50add1c6f317f5b01a66"),
+            ((2, 3, 3, 4), TgffConfig(shape=_FLAT),
+             "c28a90839d164d5b7be369c74771ff5d4b1aaf2a46592426b2d27649de524085"),
+            ((9, 3, 3, 4), TgffConfig(shape=_FLAT),
+             "41b5c4fd7454b1d287bba872a38c16eef8853b5b1782bc71e6361b6f94882b01"),
+        ],
+    )
+    def test_generate_problem_bytes(self, args, config, digest):
+        assert _problem_digest(generate_problem(*args, config=config)) == digest
+
+    def test_comm_dominated_problem_bytes(self):
+        assert _problem_digest(comm_dominated_problem()) == (
+            "3f22f7bc47c55af443686441ce38f224f14cef449ca6f0d99e28016cdce759ff"
+        )

@@ -103,9 +103,8 @@ class TestReliabilityRepair:
         base = random_chromosome(problem, rng, hardening_probability=0.0)
         repaired = repair(base, problem, rng, reliability_rounds=64)
         design = repaired.decode(problem)
-        hardened = harden(problem.applications, design.plan)
         assert check_reliability(
-            hardened, design.mapping, problem.architecture
+            problem.applications, design.plan, design.mapping, problem.architecture
         ) == []
 
     def test_bounded_rounds(self, problem):

@@ -9,6 +9,7 @@ from repro.hardening.transform import harden
 from repro.model.application import ApplicationSet
 from repro.model.task import Channel, Task, TaskRole
 from repro.model.taskgraph import TaskGraph
+from tests.model.nx_oracle import to_digraph
 
 
 @st.composite
@@ -66,7 +67,7 @@ def systems_with_plans(draw):
 def test_hardened_graph_is_acyclic_dag(system):
     apps, plan = system
     hardened = harden(apps, plan)
-    nxg = hardened.applications.graph("g").to_networkx()
+    nxg = to_digraph(hardened.applications.graph("g"))
     assert nx.is_directed_acyclic_graph(nxg)
 
 

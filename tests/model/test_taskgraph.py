@@ -4,10 +4,13 @@ import math
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ModelError
 from repro.model.task import Channel, Task
 from repro.model.taskgraph import Criticality, TaskGraph
+from tests.model.nx_oracle import to_digraph
 
 
 def diamond_graph(**kwargs):
@@ -84,6 +87,27 @@ class TestConstruction:
                 period=10,
                 service_value=1.0,
             )
+
+    def test_cycle_error_names_the_cycle(self):
+        with pytest.raises(ModelError) as caught:
+            TaskGraph(
+                "g",
+                [Task("a", 1, 2), Task("b", 1, 2), Task("c", 1, 2), Task("s", 1, 2)],
+                [
+                    Channel("s", "a", 1.0),
+                    Channel("a", "b", 1.0),
+                    Channel("b", "c", 1.0),
+                    Channel("c", "a", 1.0),
+                ],
+                period=10,
+                service_value=1.0,
+            )
+        message = str(caught.value)
+        assert "contains a cycle" in message
+        assert "('a', 'b')" in message
+        assert "('b', 'c')" in message
+        assert "('c', 'a')" in message
+        assert "'s'" not in message
 
     def test_deadline_defaults_to_period(self):
         graph = diamond_graph()
@@ -192,8 +216,40 @@ class TestStructure:
         assert graph.depth("b") == 1
         assert graph.depth("d") == 2
 
+    @given(st.integers(min_value=1, max_value=14), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_topological_order_matches_networkx(self, size, data):
+        names = data.draw(
+            st.lists(
+                st.text("abcxyz", min_size=1, max_size=3),
+                min_size=size,
+                max_size=size,
+                unique=True,
+            )
+        )
+        # Edges go from earlier to later positions of a shuffled name list,
+        # so the graph is a DAG whose order differs from the name order.
+        ranked = data.draw(st.permutations(names))
+        edges = data.draw(
+            st.sets(
+                st.tuples(
+                    st.integers(0, size - 1), st.integers(0, size - 1)
+                ).filter(lambda pair: pair[0] < pair[1]),
+                max_size=3 * size,
+            )
+        )
+        graph = TaskGraph(
+            "g",
+            [Task(name, 1, 2) for name in names],
+            [Channel(ranked[i], ranked[j], 1.0) for i, j in edges],
+            period=10,
+            service_value=1.0,
+        )
+        expected = tuple(nx.lexicographical_topological_sort(to_digraph(graph)))
+        assert graph.topological_order() == expected
+
     def test_to_networkx(self):
-        nxg = diamond_graph().to_networkx()
+        nxg = to_digraph(diamond_graph())
         assert isinstance(nxg, nx.DiGraph)
         assert set(nxg.nodes) == {"a", "b", "c", "d"}
         assert nxg.nodes["a"]["task"].wcet == 2.0

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import AnalysisError
 from repro.hardening.spec import HardeningPlan, HardeningSpec
-from repro.hardening.transform import harden
 from repro.model.application import ApplicationSet
 from repro.model.architecture import Processor
 from repro.model.mapping import Mapping
@@ -126,8 +125,7 @@ class TestGraphLevel:
             reliability_target=1e-2,
         )
         apps = ApplicationSet([graph])
-        hardened = harden(apps, HardeningPlan({"a": HardeningSpec.reexecution(1)}))
-        return hardened
+        return apps, HardeningPlan({"a": HardeningSpec.reexecution(1)})
 
     def test_graph_unsafe_probability(self, system, architecture):
         mapping = Mapping({"a": "pe0", "b": "pe1"})
@@ -135,25 +133,25 @@ class TestGraphLevel:
         p_b = q(1e-5, 80.0)
         expected = 1 - (1 - p_a) * (1 - p_b)
         assert graph_unsafe_probability(
-            system, "g", mapping, architecture
+            *system, "g", mapping, architecture
         ) == pytest.approx(expected)
 
     def test_failure_rate_divides_by_period(self, system, architecture):
         mapping = Mapping({"a": "pe0", "b": "pe1"})
-        prob = graph_unsafe_probability(system, "g", mapping, architecture)
-        assert graph_failure_rate(system, "g", mapping, architecture) == pytest.approx(
+        prob = graph_unsafe_probability(*system, "g", mapping, architecture)
+        assert graph_failure_rate(*system, "g", mapping, architecture) == pytest.approx(
             prob / 100.0
         )
 
     def test_report(self, system, architecture):
         mapping = Mapping({"a": "pe0", "b": "pe1"})
-        report = system_reliability_report(system, mapping, architecture)
+        report = system_reliability_report(*system, mapping, architecture)
         assert set(report) == {"g"}
         entry = report["g"]
         assert entry["satisfied"] == (entry["failure_rate"] <= entry["target"])
 
-    def test_report_skips_droppable(self, hardened, mapping, architecture):
-        report = system_reliability_report(hardened, mapping, architecture)
+    def test_report_skips_droppable(self, apps, plan, mapping, architecture):
+        report = system_reliability_report(apps, plan, mapping, architecture)
         assert "lo" not in report
         assert "hi" in report
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.errors import AnalysisError
 from repro.hardening.spec import HardeningKind, HardeningPlan, HardeningSpec
-from repro.hardening.transform import harden
 from repro.model.application import ApplicationSet
 from repro.model.mapping import Mapping
 from repro.model.task import Task
@@ -29,21 +28,21 @@ class TestCheckReliability:
             period=100.0,
             reliability_target=1e-8,
         )
-        return harden(ApplicationSet([graph]), plan)
+        return ApplicationSet([graph]), plan
 
     def test_violation_detected(self, architecture):
-        hardened = self.make(HardeningPlan())
+        apps, plan = self.make(HardeningPlan())
         mapping = Mapping({"a": "pe0"})
-        violations = check_reliability(hardened, mapping, architecture)
+        violations = check_reliability(apps, plan, mapping, architecture)
         assert len(violations) == 1
         assert violations[0].graph == "g"
         assert violations[0].failure_rate > violations[0].target
         assert "exceeds target" in str(violations[0])
 
     def test_hardening_fixes_violation(self, architecture):
-        hardened = self.make(HardeningPlan({"a": HardeningSpec.reexecution(3)}))
+        apps, plan = self.make(HardeningPlan({"a": HardeningSpec.reexecution(3)}))
         mapping = Mapping({"a": "pe0"})
-        assert check_reliability(hardened, mapping, architecture) == []
+        assert check_reliability(apps, plan, mapping, architecture) == []
 
 
 class TestMinimalReexecutions:

@@ -15,7 +15,7 @@ import pytest
 from repro.benchgen.tgff import GraphShape, TgffConfig, generate_problem
 from repro.comm import make_comm
 from repro.core.analysis import MixedCriticalityAnalysis
-from repro.dse.chromosome import random_chromosome
+from repro.dse.chromosome import heuristic_chromosome, random_chromosome
 from repro.dse.repair import repair
 from repro.hardening.transform import harden
 from repro.sched.fast import FastWindowAnalysisBackend
@@ -41,7 +41,24 @@ def random_jobset(seed, policy="fp", comm="flat"):
     )
     rng = random.Random(seed)
     chromosome = repair(random_chromosome(problem, rng), problem, rng)
-    design = chromosome.decode(problem)
+    return design_jobset(problem, chromosome.decode(problem), policy, comm)
+
+
+def tgff130_jobset():
+    """A job set of a 130-task tgff system: ~20k interference pairs, so
+    every pair-sized array is larger than 128 KiB."""
+    problem = generate_problem(
+        seed=11,
+        critical_graphs=10,
+        droppable_graphs=10,
+        processors=8,
+        name_prefix="tgff130",
+    )
+    design = heuristic_chromosome(problem, random.Random(5)).decode(problem)
+    return design_jobset(problem, design)
+
+
+def design_jobset(problem, design, policy="fp", comm="flat"):
     hardened = harden(problem.applications, design.plan)
     bounds = {
         task.name: hardened.nominal_bounds(task.name)
@@ -144,9 +161,17 @@ class TestThreadSafety:
 
         The threaded explorer shares one evaluator, hence one back-end,
         between workers; alternating job-set structures make the threads
-        race on the back-end's structure cache.
+        race on the back-end's structure cache.  Clones of one large
+        structure then share its index arrays, and each thread sweeps in
+        its own pair-sized workspace.
         """
-        jobsets = [random_jobset(seed) for seed in range(6)]
+        self._hammer([random_jobset(seed) for seed in range(6)], calls=200)
+        base = tgff130_jobset()
+        assert len(base.interference_pairs()[0]) > 128 * 1024 // 8
+        self._hammer([base] + [widened(base, seed) for seed in range(1, 4)], calls=6)
+
+    @staticmethod
+    def _hammer(jobsets, calls):
         expected = [
             WindowAnalysisBackend().analyze(js).max_finish.tolist()
             for js in jobsets
@@ -156,7 +181,7 @@ class TestThreadSafety:
 
         def worker(offset):
             try:
-                for call in range(200):
+                for call in range(calls):
                     index = (call + offset) % len(jobsets)
                     got = backend.analyze(jobsets[index]).max_finish.tolist()
                     if got != expected[index]:

@@ -69,7 +69,10 @@ class TestCruise:
         for mapping in mappings:
             assert (
                 check_reliability(
-                    hardened, mapping, benchmark.problem.architecture
+                    hardened.source,
+                    hardened.plan,
+                    mapping,
+                    benchmark.problem.architecture,
                 )
                 == []
             )
