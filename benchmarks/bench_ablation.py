@@ -13,6 +13,7 @@ Three knobs of the proposed analysis are compared on the Cruise study:
 
 import pytest
 
+from repro.comm import make_comm
 from repro.core import MixedCriticalityAnalysis, NaiveAnalysis
 from repro.experiments.table2 import TABLE2_DROPPED
 from repro.obs.bench import bench_timer, write_bench_report
@@ -113,7 +114,7 @@ class TestBusAblation:
         reserved = MixedCriticalityAnalysis().analyze(
             hardened, arch, mapping, TABLE2_DROPPED
         )
-        contended = MixedCriticalityAnalysis(bus_contention=True).analyze(
+        contended = MixedCriticalityAnalysis(comm=make_comm("bus-jobs")).analyze(
             hardened, arch, mapping, TABLE2_DROPPED
         )
         print(
@@ -125,7 +126,7 @@ class TestBusAblation:
 
     def test_benchmark_bus_contention_analysis(self, benchmark, study):
         hardened, arch, mapping = study
-        analysis = MixedCriticalityAnalysis(bus_contention=True)
+        analysis = MixedCriticalityAnalysis(comm=make_comm("bus-jobs"))
 
         def run():
             with bench_timer("ablation.bus_contention").time():

@@ -183,12 +183,15 @@ def reference_front(params: dict):
     key = tuple(sorted(params.items()))
     if key not in _REFERENCE_FRONTS:
         import repro
+        from repro.dse import ExploreRequest
 
         result = repro.explore(
-            mapped_suite("cruise"),
-            generations=params["generations"],
-            population=params["population"],
-            seed=params["seed"],
+            ExploreRequest.from_options(
+                mapped_suite("cruise"),
+                generations=params["generations"],
+                population=params["population"],
+                seed=params["seed"],
+            )
         )
         _REFERENCE_FRONTS[key] = [
             (p.power, p.service, tuple(p.dropped)) for p in result.pareto

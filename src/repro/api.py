@@ -5,11 +5,14 @@ bundle, build a plan, harden, pick a back-end, wire an evaluator, ...).
 This module condenses the four everyday flows into one import::
 
     import repro
+    from repro.dse import ExploreRequest
 
     bundle = repro.api.load("cruise.json")          # or a suite name
     result = repro.api.analyze(bundle, dropped=("info", "log"))
     sim = repro.api.simulate(bundle, profiles=500)
-    front = repro.api.explore(bundle, generations=25)
+    front = repro.api.explore(
+        ExploreRequest.from_options(bundle, generations=25)
+    )
     report = repro.api.verify(bundle, budget=200)
 
 Each function returns the *existing* result dataclasses —
@@ -166,7 +169,6 @@ def analyze(
     plan: Optional[HardeningPlan] = None,
     mapping: Optional[Mapping] = None,
     policy: str = "fp",
-    bus_contention: bool = False,
     comm: Union[CommModel, str, None] = None,
     comm_backend: Optional[str] = None,
     comm_arq: Optional[int] = None,
@@ -205,7 +207,6 @@ def analyze(
             granularity=granularity,
             comm=comm,
             policy=policy,
-            bus_contention=bus_contention,
             fast_path=fast_path,
         )
         return analysis.analyze(
@@ -327,26 +328,15 @@ def verify(
 
 
 def explore(
-    system,
+    request,
     *,
-    generations: int = 25,
-    population: int = 32,
-    seed: int = 0,
-    workers: int = 1,
-    backend: Optional[str] = None,
-    config=None,
-    islands: int = 1,
-    migration_every: int = 10,
-    migrants: int = 2,
-    topology: str = "ring",
     execution: Optional[str] = None,
     fleet: Optional[str] = None,
 ):
     """GA design-space exploration (the CLI ``explore`` flow).
 
-    The canonical call passes one :class:`~repro.dse.request
-    .ExploreRequest` — the same typed value the CLI and the HTTP job
-    layer build — and returns the
+    Takes one :class:`~repro.dse.request.ExploreRequest` — the same typed
+    value the CLI and the HTTP job layer build — and returns the
     :class:`~repro.dse.results.ExplorationResult`::
 
         request = repro.dse.ExploreRequest.from_options(
@@ -354,57 +344,19 @@ def explore(
         )
         result = repro.api.explore(request)
 
-    The keyword shortcuts (``generations=...``, ``population=...``,
-    ``config=...``) remain as thin deprecated shims: they build the
-    equivalent request through the same ``ExplorerConfig.from_options``
-    path and emit a :class:`DeprecationWarning`.
-
-    ``backend`` names the evaluator's schedulability back-end (one
-    validation path with serve and the CLI, via
-    :func:`repro.core.factory.make_dse_evaluator`); ``islands`` > 1
-    shards the run over island worker processes (``execution`` picks
-    ``process``/``inline``/``serve``; ``fleet`` is the serve base URL
-    for the durable-job fleet mode).
+    The request carries the evaluator's schedulability back-end and the
+    island topology; islands > 1 shard the run over island worker
+    processes (``execution`` picks ``process``/``inline``/``serve``;
+    ``fleet`` is the serve base URL for the durable-job fleet mode).
     """
-    import warnings
-
     from repro.dse.islands import run_explore
-    from repro.dse.request import ExploreRequest, IslandTopology
+    from repro.dse.request import ExploreRequest
 
-    if isinstance(system, ExploreRequest):
-        request = system
-    else:
-        warnings.warn(
-            "api.explore(system, **kwargs) is deprecated; build a "
-            "repro.dse.ExploreRequest (e.g. ExploreRequest.from_options)"
-            " and pass it as the single argument",
-            DeprecationWarning,
-            stacklevel=2,
+    if not isinstance(request, ExploreRequest):
+        raise TypeError(
+            f"api.explore takes one repro.dse.ExploreRequest (build it with "
+            f"ExploreRequest.from_options), got {type(request).__name__}"
         )
-        shape = IslandTopology(
-            islands=islands,
-            migration_every=migration_every,
-            migrants=migrants,
-            kind=topology,
-        )
-        if config is not None:
-            request = ExploreRequest(
-                system=system, config=config, topology=shape,
-                backend=backend,
-            )
-        else:
-            request = ExploreRequest.from_options(
-                system,
-                backend=backend,
-                islands=islands,
-                migration_every=migration_every,
-                migrants=migrants,
-                topology=topology,
-                generations=generations,
-                population=population,
-                seed=seed,
-                workers=workers,
-            )
     with span(
         "api.explore",
         generations=request.config.generations,

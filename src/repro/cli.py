@@ -109,10 +109,19 @@ def _add_comm_flags(parser) -> None:
 
 
 def _comm_overridden(architecture, args):
-    """Apply the ``--comm-backend``/``--comm-arq`` flags to the fabric."""
+    """Apply the ``--comm-backend``/``--comm-arq`` flags to the fabric.
+
+    The legacy ``--bus-contention`` flag stands for ``--comm-backend
+    bus-jobs`` (see :func:`repro.comm.legacy_bus_contention`).
+    """
     backend = getattr(args, "comm_backend", None)
     arq = getattr(args, "comm_arq", None)
     timeout = getattr(args, "comm_arq_timeout", None)
+    if getattr(args, "bus_contention", False):
+        from repro.comm import legacy_bus_contention
+
+        architecture = legacy_bus_contention(architecture, backend)
+        backend = None
     if backend is None and arq is None and timeout is None:
         return architecture
     from repro.comm import with_comm
@@ -129,7 +138,6 @@ def _cmd_analyze(args) -> int:
         backend=None if args.backend == "window" else args.backend,
         granularity=args.granularity,
         policy=args.policy,
-        bus_contention=args.bus_contention,
         # Memoization + warm starts change no reported number (prune
         # stays off), so the fast path is on unless explicitly disabled.
         fast_path=None if args.no_fast_path else FastPathConfig(),
@@ -565,9 +573,10 @@ def _cmd_submit_analyze(args) -> int:
     params = {
         "granularity": args.granularity,
         "policy": args.policy,
-        "bus_contention": args.bus_contention,
         "method": args.method,
     }
+    if args.bus_contention:
+        params["bus_contention"] = True
     if args.backend != "window":
         params["backend"] = args.backend
     if args.dropped:
@@ -755,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--bus-contention", action="store_true",
-        help="model the shared bus as a priority-arbitrated resource",
+        help="legacy spelling of --comm-backend bus-jobs (flat fabrics only)",
     )
     analyze.add_argument(
         "--backend", choices=("window", "fast", "holistic"), default="window",
@@ -1113,7 +1122,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s_analyze.add_argument("--granularity", choices=("job", "task"), default="job")
     s_analyze.add_argument("--policy", choices=("fp", "edf"), default="fp")
-    s_analyze.add_argument("--bus-contention", action="store_true")
+    s_analyze.add_argument(
+        "--bus-contention", action="store_true",
+        help="legacy: the server runs the system under comm backend "
+        "bus-jobs (flat fabrics only)",
+    )
     s_analyze.add_argument(
         "--backend", choices=("window", "fast", "holistic"), default="window"
     )

@@ -14,6 +14,11 @@ a registry of interchangeable latency models:
     Static slot table; slot-alignment worst case, contention-free.
 ``noc-xy``
     2D-mesh wormhole NoC with XY routing; per-link contention sets.
+``bus-jobs``
+    Every sized cross-processor transfer becomes a message job on a
+    virtual bus processor, arbitrated by its producer's priority; edge
+    latencies stay flat.  The legacy ``bus_contention`` switch maps here
+    (:func:`legacy_bus_contention`).
 
 All backends keep best-case latencies at the uncontended transfer time
 and only widen worst cases, so ``flat <= contended`` holds bound-wise —
@@ -25,6 +30,7 @@ via ``Interconnect.comm_backend`` or per run via ``--comm-backend``.
 from typing import Optional, Union
 
 from repro.comm.base import ArqPolicy, BoundComm, ChannelSite, CommBackend
+from repro.comm.busjobs import BusJobsBackend
 from repro.comm.flat import FlatBackend
 from repro.comm.noc import NocXYBackend
 from repro.comm.sharedbus import SharedBusBackend
@@ -44,11 +50,24 @@ def register_backend(backend_cls) -> None:
     _REGISTRY[name] = backend_cls
 
 
-for _cls in (FlatBackend, SharedBusBackend, TdmaBackend, NocXYBackend):
+for _cls in (
+    FlatBackend, SharedBusBackend, TdmaBackend, NocXYBackend, BusJobsBackend
+):
     register_backend(_cls)
 
 #: Registered backend names, registration-ordered (``flat`` first).
 COMM_BACKENDS = tuple(_REGISTRY)
+
+
+def check_backend(name: str) -> str:
+    """``name`` if it is registered; otherwise an :class:`AnalysisError`
+    listing every registered backend."""
+    if name not in _REGISTRY:
+        known = ", ".join(sorted(_REGISTRY))
+        raise AnalysisError(
+            f"unknown comm backend {name!r}; available: {known}"
+        )
+    return name
 
 
 class _DeferredBackend(CommBackend):
@@ -85,13 +104,7 @@ def make_comm(
         return _DeferredBackend(
             arq_retries=arq_retries, arq_timeout=arq_timeout
         )
-    try:
-        backend_cls = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise AnalysisError(
-            f"unknown comm backend {name!r}; available: {known}"
-        ) from None
+    backend_cls = _REGISTRY[check_backend(name)]
     return backend_cls(arq_retries=arq_retries, arq_timeout=arq_timeout)
 
 
@@ -151,12 +164,7 @@ def with_comm(
     field untouched; a backend name is validated against the registry.
     """
     ic = architecture.interconnect
-    name = ic.comm_backend if backend is None else backend
-    if name not in _REGISTRY:
-        known = ", ".join(sorted(_REGISTRY))
-        raise AnalysisError(
-            f"unknown comm backend {name!r}; available: {known}"
-        )
+    name = check_backend(ic.comm_backend if backend is None else backend)
     rewritten = Interconnect(
         bandwidth=ic.bandwidth,
         base_latency=ic.base_latency,
@@ -172,9 +180,37 @@ def with_comm(
     return architecture.with_interconnect(rewritten)
 
 
+#: Fabrics the legacy switch may stand for: message jobs over flat edges.
+_MESSAGE_JOB_FABRICS = ("flat", "bus-jobs")
+
+
+def legacy_bus_contention(
+    architecture: Architecture, comm_backend: Optional[str] = None
+) -> Architecture:
+    """The fabric a legacy ``bus_contention`` switch asks for: ``bus-jobs``.
+
+    The switch predates the registry and meant message jobs over flat
+    edge latencies, so the interconnect is rewritten to ``bus-jobs``,
+    keeping its ARQ budget (folded into every message job's WCET).  The
+    backend in force, ``comm_backend`` if given and else the declared
+    one, must be ``flat`` or ``bus-jobs``: over any other fabric the
+    simulator charges latencies that message jobs do not bound, so the
+    switch is rejected with an :class:`AnalysisError`.
+    """
+    name = comm_backend or architecture.interconnect.comm_backend
+    if name not in _MESSAGE_JOB_FABRICS:
+        raise AnalysisError(
+            f"bus_contention models message jobs over a flat fabric, but "
+            f"the comm backend is {name!r}; drop the switch, or select "
+            f"comm backend 'bus-jobs' on a flat fabric"
+        )
+    return with_comm(architecture, backend="bus-jobs")
+
+
 __all__ = [
     "ArqPolicy",
     "BoundComm",
+    "BusJobsBackend",
     "COMM_BACKENDS",
     "ChannelSite",
     "CommBackend",
@@ -182,7 +218,9 @@ __all__ = [
     "NocXYBackend",
     "SharedBusBackend",
     "TdmaBackend",
+    "check_backend",
     "default_comm",
+    "legacy_bus_contention",
     "make_comm",
     "register_backend",
     "resolve_comm",

@@ -8,17 +8,14 @@ retransmission budget the bound model folds the ARQ margin on top of the
 uncontended worst case.
 """
 
-from repro.comm.base import ArqPolicy, BoundComm, CommBackend, attempt_cost
-from repro.model.architecture import Architecture, Interconnect
+from repro.comm.base import BoundComm, CommBackend, attempt_cost
+from repro.model.architecture import Architecture
 from repro.model.mapping import Mapping
 from repro.sched.comm import CommModel
 
 
 class FlatBound(BoundComm):
     """Uncontended bounds plus the ARQ retransmission margin."""
-
-    def __init__(self, interconnect: Interconnect, arq: ArqPolicy):
-        super().__init__(interconnect, arq)
 
     def attempt_worst(self, src: str, dst: str, size: float) -> float:
         return attempt_cost(self._interconnect, size)
@@ -29,7 +26,7 @@ class FlatBound(BoundComm):
 
 
 class FlatBackend(CommBackend):
-    """Guaranteed-bandwidth fabric (paper §2.1, ``contention_factor=1``)."""
+    """Guaranteed-bandwidth fabric (paper §2.1)."""
 
     name = "flat"
 

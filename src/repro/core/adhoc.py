@@ -12,7 +12,6 @@ safe — the paper observes it falling below the Monte-Carlo maximum in some
 mappings, which is the motivation for a real worst-case analysis.
 """
 
-import warnings
 from typing import Dict, Iterable, Optional
 
 from repro.core.analysis import GraphVerdict, MCAnalysisResult
@@ -28,20 +27,7 @@ from repro.sim.sampler import WorstCaseSampler
 class AdhocAnalysis:
     """Deterministic worst-trace estimation of response times."""
 
-    def __init__(
-        self, comm: Optional[CommModel] = None, policy: str = "fp", **legacy
-    ):
-        if legacy:
-            # Adhoc simulates a trace: analytical kwargs (backend,
-            # granularity, bus_contention, fast_path, ...) have nothing
-            # to configure.  Accept and ignore them so the methods stay
-            # interchangeable, but steer callers to the factory.
-            warnings.warn(
-                f"AdhocAnalysis ignores {sorted(legacy)}; build analysis "
-                f"methods via repro.core.make_analysis()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+    def __init__(self, comm: Optional[CommModel] = None, policy: str = "fp"):
         self._comm = comm
         self._policy = policy
 

@@ -159,9 +159,6 @@ class MixedCriticalityAnalysis:
         Channel-latency model override.
     policy:
         Per-processor scheduling policy: ``"fp"`` (default) or ``"edf"``.
-    bus_contention:
-        Model the shared bus as a priority-arbitrated resource (message
-        jobs) instead of reserved bandwidth.
     fast_path:
         Optional :class:`~repro.core.fastpath.FastPathConfig` enabling
         ``sched()`` memoization, warm-started fixed points, and dominated-
@@ -176,7 +173,6 @@ class MixedCriticalityAnalysis:
         comm: Optional[CommModel] = None,
         zero_dropped_bcet: bool = False,
         policy: str = "fp",
-        bus_contention: bool = False,
         fast_path: Optional[FastPathConfig] = None,
     ):
         if granularity not in TRIGGER_GRANULARITIES:
@@ -190,9 +186,6 @@ class MixedCriticalityAnalysis:
         #: Per-processor scheduling policy ("fp" or "edf"), forwarded to
         #: the job unrolling; the simulator accepts the same option.
         self._policy = policy
-        #: Model cross-processor transfers as priority-arbitrated bus
-        #: jobs instead of reserved-bandwidth latencies (analysis-only).
-        self._bus_contention = bus_contention
         # Algorithm 1's line 23 writes the transition-mode bounds as
         # ``[0, wcet]``.  With a window back-end, zeroing the bcet *widens*
         # the execution windows of maybe-dropped jobs and therefore
@@ -421,7 +414,6 @@ class MixedCriticalityAnalysis:
             priorities=priorities,
             bounds=bounds,
             policy=self._policy,
-            bus_contention=self._bus_contention,
         )
 
     def _enumerate_transitions(

@@ -84,7 +84,6 @@ def make_analysis(
     comm_arq: Optional[int] = None,
     comm_arq_timeout: Optional[float] = None,
     policy: str = "fp",
-    bus_contention: bool = False,
     zero_dropped_bcet: bool = False,
     fast_path: Union[FastPathConfig, bool, None] = None,
 ) -> AnalysisMethod:
@@ -132,7 +131,6 @@ def make_analysis(
             comm=comm,
             zero_dropped_bcet=zero_dropped_bcet,
             policy=policy,
-            bus_contention=bus_contention,
             fast_path=fast_path,
         )
     if method == "naive":
@@ -140,7 +138,6 @@ def make_analysis(
             backend=backend,
             comm=comm,
             policy=policy,
-            bus_contention=bus_contention,
         )
     return AdhocAnalysis(comm=comm, policy=policy)
 

@@ -8,7 +8,6 @@ structure of state changes (no re-execution or dropping can happen before
 the first fault), which is exactly the information Algorithm 1 exploits.
 """
 
-import warnings
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.analysis import GraphVerdict, MCAnalysisResult
@@ -38,24 +37,10 @@ class NaiveAnalysis:
         backend: Optional[SchedBackend] = None,
         comm: Optional[CommModel] = None,
         policy: str = "fp",
-        bus_contention: bool = False,
-        **legacy,
     ):
-        if legacy:
-            # Kwargs that only Algorithm 1 understands (granularity,
-            # fast_path, ...) used to raise here, encouraging per-method
-            # call sites; accept and ignore them so the methods stay
-            # interchangeable, but steer callers to the factory.
-            warnings.warn(
-                f"NaiveAnalysis ignores {sorted(legacy)}; build analysis "
-                f"methods via repro.core.make_analysis()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self._backend: SchedBackend = backend or WindowAnalysisBackend()
         self._comm = comm
         self._policy = policy
-        self._bus_contention = bus_contention
 
     def analyze(
         self,
@@ -90,7 +75,6 @@ class NaiveAnalysis:
             priorities=priorities,
             bounds=bounds,
             policy=self._policy,
-            bus_contention=self._bus_contention,
         )
         result = self._backend.analyze(jobset)
 

@@ -117,7 +117,7 @@ class ExploreRequest:
         ``options`` are forwarded verbatim to
         :meth:`ExplorerConfig.from_options` — the single config
         construction path — so CLI flags, HTTP payload fields and
-        ``api.explore`` keyword arguments land on identical configs.
+        Python callers land on identical configs.
         The topology is stored :meth:`~IslandTopology.normalized`, so
         every non-migrating spelling builds the same request object.
         """

@@ -2,59 +2,34 @@
 
 Channels between tasks mapped on the same processor cost nothing.  Between
 processors, a transfer of ``s_e`` bytes takes ``base_latency + s_e / bw``
-on the fabric (paper §2.1 gives the fabric a maximum bandwidth ``bw_nw``).
-
-Two worst-case regimes are supported:
-
-* ``contention_factor = 1`` (default) — the fabric guarantees its
-  bandwidth to each transfer (e.g. a TDMA bus or a crossbar without
-  endpoint conflicts);
-* ``contention_factor > 1`` — worst-case transfers are stretched by the
-  given factor to cover arbitration losses on a shared medium.
-
-Best-case transfers always use the uncontended time, which keeps the
-best-case bounds safe lower bounds.
+on the fabric (paper §2.1 gives the fabric a maximum bandwidth ``bw_nw``),
+which guarantees its bandwidth to each transfer.  Contended fabrics are
+the backends of :mod:`repro.comm`.
 
 **Zero-size semantics.**  A ``size <= 0`` channel is a pure
 synchronisation token (a precedence edge with no payload).  Off
 processor it is *intentionally asymmetric*: the best case is ``0.0`` —
 an empty message can ride an already-open arbitration window for free —
-while the worst case charges ``base_latency * contention_factor``,
-because even a payload-free message must win one arbitration round on
-the fabric before the dependent task may start.  Collapsing either side
-(charging ``base_latency`` best-case, or making empty messages free
-worst-case) would respectively inflate the best-case lower bound past
-observable schedules or let a contended fabric deliver infinitely many
-sync tokens in zero time.  Both sides are pinned by regression tests in
+while the worst case charges ``base_latency``, because even a
+payload-free message must win one arbitration round on the fabric
+before the dependent task may start.  Collapsing either side (charging
+``base_latency`` best-case, or making empty messages free worst-case)
+would respectively inflate the best-case lower bound past observable
+schedules or let the fabric deliver infinitely many sync tokens in zero
+time.  Both sides are pinned by regression tests in
 ``tests/sched/test_comm.py``.
 """
 
 from dataclasses import dataclass
 
-from repro.errors import ModelError
 from repro.model.architecture import Interconnect
 
 
 @dataclass(frozen=True)
 class CommModel:
-    """Best-/worst-case channel latency computation.
-
-    Parameters
-    ----------
-    interconnect:
-        The platform fabric.
-    contention_factor:
-        Multiplier (>= 1) applied to worst-case transfer times.
-    """
+    """Best-/worst-case channel latency over the platform fabric."""
 
     interconnect: Interconnect
-    contention_factor: float = 1.0
-
-    def __post_init__(self):
-        if self.contention_factor < 1.0:
-            raise ModelError(
-                f"contention factor must be >= 1, got {self.contention_factor}"
-            )
 
     def best_case(self, size: float, same_processor: bool) -> float:
         """Safe lower bound on the channel latency.
@@ -72,11 +47,11 @@ class CommModel:
         """Safe upper bound on the channel latency.
 
         Off-processor ``size <= 0`` transfers still pay one arbitration
-        round (``base_latency * contention_factor``): a payload-free
-        message must acquire the fabric before its consumer may start.
+        round (``base_latency``): a payload-free message must acquire the
+        fabric before its consumer may start.
         """
         if same_processor:
             return 0.0
         if size <= 0:
-            return self.interconnect.base_latency * self.contention_factor
-        return self.interconnect.transfer_time(size) * self.contention_factor
+            return self.interconnect.base_latency
+        return self.interconnect.transfer_time(size)

@@ -43,8 +43,8 @@ from repro.sched.priority import assign_priorities
 #: A job is identified by its task name and the instance index of its graph.
 JobId = Tuple[str, int]
 
-#: Name of the virtual processor hosting message jobs when the
-#: contention-aware bus model is enabled (see :func:`unroll`).
+#: Name of the virtual processor hosting message jobs (see :func:`unroll`
+#: and the ``bus-jobs`` comm backend).
 BUS_RESOURCE = "__bus__"
 
 
@@ -922,7 +922,6 @@ def unroll(
     bounds: Optional[TMapping[str, Tuple[float, float]]] = None,
     hyperperiods: int = 2,
     policy: str = "fp",
-    bus_contention: bool = False,
 ) -> JobSet:
     """Unroll an application set into a :class:`JobSet` over two hyperperiods.
 
@@ -942,6 +941,12 @@ def unroll(
         voter channels participate in its contention analysis; bound
         models answering ``channel_bounds`` are queried once per channel
         and their ``fingerprint_token`` enters the job-set fingerprint.
+        A bound model answering ``message_bounds(size)`` (the ``bus-jobs``
+        backend) turns every sized cross-processor channel into a
+        *message job* on the virtual processor :data:`BUS_RESOURCE` with
+        those ``(bcet, wcet)``, ranked directly after its producer, so
+        concurrent transfers interfere instead of enjoying reserved
+        bandwidth.
     priorities:
         Task priorities (smaller = higher); defaults to
         :func:`repro.sched.priority.assign_priorities`.
@@ -959,14 +964,6 @@ def unroll(
         first).  Jobs execute exactly once, so a static per-job rank by
         absolute deadline *is* preemptive EDF — both the analysis and the
         simulator follow the resulting job priorities.
-    bus_contention:
-        When ``True``, every sized cross-processor transfer becomes a
-        *message job* on a virtual bus resource named
-        :data:`BUS_RESOURCE`, arbitrated by the priority of its producer:
-        concurrent transfers then interfere with each other instead of
-        enjoying reserved bandwidth.  Analysis-only — the simulator keeps
-        the reservation (latency) model, which the contention-aware
-        bounds safely dominate.
     """
     if policy not in ("fp", "edf"):
         raise AnalysisError(f"policy must be 'fp' or 'edf', got {policy!r}")
@@ -989,15 +986,15 @@ def unroll(
     ]
     with trace_span("sched.jobset.build", part="unroll"):
         templates = [
-            _template(graph, mapping, architecture, comm, bounds, bus_contention)
+            _template(graph, mapping, architecture, comm, bounds)
             for graph in applications.graphs
         ]
         names = [name for template in templates for name in template.names]
         if len(set(names)) != len(names):
             raise AnalysisError(
-                "job identifier collision — with bus_contention enabled, task "
-                "names must not collide with generated message names "
-                "('src>dst')"
+                "job identifier collision — with message jobs (comm backend "
+                "'bus-jobs'), task names must not collide with generated "
+                "message names ('src>dst')"
             )
         columns = JobColumns(templates, counts, hyperperiod, policy, priorities)
     return JobSet(
@@ -1010,9 +1007,10 @@ def unroll(
     )
 
 
-def _template(graph, mapping, architecture, comm, bounds, bus_contention) -> GraphTemplate:
+def _template(graph, mapping, architecture, comm, bounds) -> GraphTemplate:
     """Unroll one instance of ``graph`` (see :class:`GraphTemplate`)."""
     channel_bounds = getattr(comm, "channel_bounds", None)
+    message_bounds = getattr(comm, "message_bounds", None)
     template = GraphTemplate(graph)
     local_of: Dict[str, int] = {}
     depth: Dict[str, int] = {}
@@ -1022,16 +1020,16 @@ def _template(graph, mapping, architecture, comm, bounds, bus_contention) -> Gra
         inputs = []
         for channel in channels:
             src = local_of[channel.src]
-            if bus_contention and channel.size > 0 and mapping[channel.src] != pe:
+            same_pe = mapping[channel.src] == pe
+            if message_bounds is not None and channel.size > 0 and not same_pe:
                 # Materialise the transfer as a bus job.
-                transfer = architecture.interconnect.transfer_time(channel.size)
+                low, high = message_bounds(channel.size)
                 message = template.add(
                     _message_name(channel.src, task_name), BUS_RESOURCE,
-                    transfer, transfer, src, 0, [(src, 0.0, 0.0, False)],
+                    low, high, src, 0, [(src, 0.0, 0.0, False)],
                 )
                 inputs.append((message, 0.0, 0.0, channel.on_demand))
                 continue
-            same_pe = mapping[channel.src] == pe
             if channel_bounds is not None:
                 best, worst = channel_bounds(channel.src, task_name, channel.size, same_pe)
             else:

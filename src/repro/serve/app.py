@@ -197,7 +197,6 @@ def _run_analyze(params: Dict[str, Any]) -> bytes:
         granularity=params["granularity"],
         dropped=tuple(params["dropped"]),
         policy=params["policy"],
-        bus_contention=params["bus_contention"],
         fast_path=(
             FastPathConfig.shared() if params["method"] == "proposed" else None
         ),
@@ -225,7 +224,6 @@ def _run_analyze_degraded(params: Dict[str, Any]) -> bytes:
         granularity=params["granularity"],
         dropped=tuple(params["dropped"]),
         policy=params["policy"],
-        bus_contention=params["bus_contention"],
         fast_path=None,
     )
     payload = analysis_result_to_dict(result)

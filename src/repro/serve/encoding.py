@@ -18,6 +18,7 @@ import hashlib
 import json
 from typing import Any, Dict, Optional, Tuple, Union
 
+from repro.comm import check_backend, legacy_bus_contention
 from repro.core.analysis import MCAnalysisResult, TransitionInfo
 from repro.core.problem import DesignPoint
 from repro.dse.request import ExploreRequest, IslandTopology, TOPOLOGY_KINDS
@@ -161,15 +162,30 @@ def resolve_system(
 
 
 def canonical_system(
-    spec: Union[str, Dict[str, Any]], allow_paths: bool = False
+    spec: Union[str, Dict[str, Any]],
+    allow_paths: bool = False,
+    message_jobs: bool = False,
 ) -> Dict[str, Any]:
     """Resolve a system spec to its inline payload form.
 
     Requests are canonicalized *before* dedup keying, so ``"cruise"``
     and the equivalent inline bundle coalesce — and an explore job stored
-    for resume-on-restart no longer depends on files that may move.
+    for resume-on-restart no longer depends on files that may move.  An
+    unregistered ``comm_backend`` is rejected here, before the request
+    can take a worker.  ``message_jobs`` applies the legacy analyze
+    switch through :func:`repro.comm.legacy_bus_contention`.
     """
-    return bundle_to_payload(resolve_system(spec, allow_paths=allow_paths))
+    bundle = resolve_system(spec, allow_paths=allow_paths)
+    architecture = bundle.architecture
+    check_backend(architecture.interconnect.comm_backend)
+    if message_jobs:
+        bundle = SystemBundle(
+            bundle.applications,
+            legacy_bus_contention(architecture),
+            bundle.mapping,
+            bundle.plan,
+        )
+    return bundle_to_payload(bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +284,13 @@ def _dropped_field(payload) -> Tuple[str, ...]:
     return tuple(n for n in dropped if n)
 
 
+def _bool_field(payload, name, default) -> bool:
+    value = payload.get(name, default)
+    if not isinstance(value, bool):
+        raise ReproError(f"{name} must be a JSON boolean (true or false)")
+    return value
+
+
 def _deadline_field(payload) -> Optional[float]:
     deadline = _float_field(payload, "deadline_seconds", None)
     if deadline is not None and deadline <= 0:
@@ -281,14 +304,19 @@ def parse_analyze_request(
     """Validate and normalize a ``/v1/analyze`` body.
 
     Returns a plain dict of canonical parameters (system inlined), ready
-    for :func:`request_digest` and for the worker to execute.
+    for :func:`request_digest` and for the worker to execute.  The legacy
+    ``bus_contention: true`` field is folded into the system's fabric
+    (comm backend ``bus-jobs``), so it never reaches the worker.
     """
     if not isinstance(payload, dict):
         raise ReproError("request body must be a JSON object")
     _reject_unknown(payload, _ANALYZE_FIELDS, "/v1/analyze")
     _require_system(payload)
+    message_jobs = _bool_field(payload, "bus_contention", False)
     return {
-        "system": canonical_system(payload["system"], allow_paths=allow_paths),
+        "system": canonical_system(
+            payload["system"], allow_paths, message_jobs
+        ),
         "method": _choice_field(
             payload, "method", "proposed", ("proposed", "naive", "adhoc")
         ),
@@ -300,7 +328,6 @@ def parse_analyze_request(
         ),
         "dropped": list(_dropped_field(payload)),
         "policy": _choice_field(payload, "policy", "fp", ("fp", "edf")),
-        "bus_contention": bool(payload.get("bus_contention", False)),
         "deadline_seconds": _deadline_field(payload),
     }
 

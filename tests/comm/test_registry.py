@@ -26,7 +26,7 @@ def _arch(**fabric):
 
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert COMM_BACKENDS == ("flat", "shared-bus", "tdma", "noc-xy")
+        assert COMM_BACKENDS == ("flat", "shared-bus", "tdma", "noc-xy", "bus-jobs")
 
     def test_make_comm_by_name(self):
         for name in COMM_BACKENDS:

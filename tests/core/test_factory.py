@@ -67,22 +67,10 @@ class TestMakeAnalysis:
             assert result.verdicts["lo"].dropped
 
 
-class TestDeprecationShims:
-    def test_naive_warns_on_foreign_kwargs(self):
-        with pytest.warns(DeprecationWarning, match="make_analysis"):
+class TestForeignKwargs:
+    def test_baselines_reject_options_they_do_not_take(self):
+        """Options of other methods are the factory's to drop, not theirs."""
+        with pytest.raises(TypeError, match="granularity"):
             NaiveAnalysis(granularity="task")
-
-    def test_adhoc_warns_on_foreign_kwargs(self):
-        with pytest.warns(DeprecationWarning, match="make_analysis"):
-            AdhocAnalysis(backend=WindowAnalysisBackend(), bus_contention=True)
-
-    def test_shims_change_no_behavior(self, hardened, architecture, mapping):
-        import warnings
-
-        clean = NaiveAnalysis().analyze(hardened, architecture, mapping)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shimmed = NaiveAnalysis(granularity="job", fast_path=None).analyze(
-                hardened, architecture, mapping
-            )
-        assert clean == shimmed
+        with pytest.raises(TypeError, match="backend"):
+            AdhocAnalysis(backend=WindowAnalysisBackend())

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.benchgen.tgff import generate_problem
+from repro.comm import make_comm
 from repro.core import (
     FastPathConfig,
     MixedCriticalityAnalysis,
@@ -210,7 +211,7 @@ class TestPolicyFingerprintPins:
             "433fef7ddcd9450f9a8c8ff86b19679583aa0ad76b15eea247c97571741ce598",
         ),
         "bus": (
-            {"bus_contention": True},
+            {"comm": make_comm("bus-jobs")},
             106,
             "da656b589c5c1bc1c426ba9d00a2ed96991d50c822ece6800404fd34514d6e2b",
             "721e53c8eca32d48ebc5ea10be8921b15afe7d67c4c67f27fe755c036b02aca3",

@@ -169,6 +169,8 @@ def reference_jobs(
     elif hasattr(comm, "bind"):
         comm = comm.bind(applications, mapping, architecture)
     channel_bounds = getattr(comm, "channel_bounds", None)
+    arq_retries = getattr(comm, "arq_retries", 0)
+    arq_timeout = getattr(comm, "arq_timeout", 0.0)
     if priorities is None:
         priorities = assign_priorities(applications)
     hyperperiod = applications.hyperperiod
@@ -243,13 +245,20 @@ def reference_jobs(
                     pred = index_of[(channel.src, instance)]
                     if needs_message(channel, task_name):
                         transfer = architecture.interconnect.transfer_time(channel.size)
+                        if arq_retries:
+                            worst = (
+                                (arq_retries + 1) * transfer
+                                + arq_retries * arq_timeout
+                            )
+                        else:
+                            worst = transfer
                         message = f"{channel.src}>{task_name}"
                         message_index = add(
                             task_name=message,
                             processor=BUS_RESOURCE,
                             priority=job_priority[(message, instance)],
                             bcet=transfer,
-                            wcet=transfer,
+                            wcet=worst,
                             preds=((pred, 0.0, 0.0, False),),
                             **common,
                         )

@@ -1,7 +1,8 @@
-"""Tests for the contention-aware shared-bus model."""
+"""Tests for the ``bus-jobs`` comm backend: transfers as bus message jobs."""
 
 import pytest
 
+from repro.comm import make_comm
 from repro.core.analysis import MixedCriticalityAnalysis
 from repro.hardening.spec import HardeningPlan
 from repro.hardening.transform import harden
@@ -14,10 +15,14 @@ from repro.sched.jobs import BUS_RESOURCE, unroll
 from repro.sched.wcrt import WindowAnalysisBackend
 
 
-def platform(bandwidth=10.0, base_latency=0.0):
+#: The message-job backend, with the fabric's own ARQ budget.
+BUS_JOBS = make_comm("bus-jobs")
+
+
+def platform(bandwidth=10.0, base_latency=0.0, **fabric):
     return Architecture(
         [Processor("pe0"), Processor("pe1"), Processor("pe2")],
-        Interconnect(bandwidth=bandwidth, base_latency=base_latency),
+        Interconnect(bandwidth=bandwidth, base_latency=base_latency, **fabric),
     )
 
 
@@ -47,7 +52,7 @@ def crossing_mapping():
 class TestMessageJobs:
     def test_message_jobs_created(self):
         jobset = unroll(
-            crossing_apps(), crossing_mapping(), platform(), bus_contention=True
+            crossing_apps(), crossing_mapping(), platform(), comm=BUS_JOBS
         )
         bus_jobs = [j for j in jobset.jobs if j.processor == BUS_RESOURCE]
         # 2 graphs x (2 + 4) instances over two hyperperiods.
@@ -57,14 +62,14 @@ class TestMessageJobs:
 
     def test_message_duration_is_transfer_time(self):
         jobset = unroll(
-            crossing_apps(), crossing_mapping(), platform(), bus_contention=True
+            crossing_apps(), crossing_mapping(), platform(), comm=BUS_JOBS
         )
         message = jobset.job(("p1>c1", 0))
         assert message.bcet == message.wcet == pytest.approx(4.0)
 
     def test_no_message_for_colocated_channel(self):
         mapping = Mapping({"p1": "pe0", "c1": "pe0", "p2": "pe1", "c2": "pe2"})
-        jobset = unroll(crossing_apps(), mapping, platform(), bus_contention=True)
+        jobset = unroll(crossing_apps(), mapping, platform(), comm=BUS_JOBS)
         names = {j.task_name for j in jobset.jobs}
         assert "p1>c1" not in names
         assert "p2>c2" in names
@@ -75,7 +80,7 @@ class TestMessageJobs:
 
     def test_message_inherits_producer_urgency(self):
         jobset = unroll(
-            crossing_apps(), crossing_mapping(), platform(), bus_contention=True
+            crossing_apps(), crossing_mapping(), platform(), comm=BUS_JOBS
         )
         # g2 has the shorter period: its producer and message outrank g1's.
         assert (
@@ -101,7 +106,7 @@ class TestNameCollisionGuard:
         apps = ApplicationSet([graph])
         mapping = Mapping({"p": "pe0", "c": "pe1", "p>c": "pe2"})
         with pytest.raises(AnalysisError, match="collision"):
-            unroll(apps, mapping, platform(), bus_contention=True)
+            unroll(apps, mapping, platform(), comm=BUS_JOBS)
 
     def test_same_names_fine_without_contention(self):
         graph = TaskGraph(
@@ -125,7 +130,7 @@ class TestContentionBounds:
         backend = WindowAnalysisBackend()
         reserved = backend.analyze(unroll(apps, mapping, arch))
         contended = backend.analyze(
-            unroll(apps, mapping, arch, bus_contention=True)
+            unroll(apps, mapping, arch, comm=BUS_JOBS)
         )
         for graph in ("g1", "g2"):
             assert contended.graph_wcrt(graph) >= reserved.graph_wcrt(graph) - 1e-9
@@ -133,7 +138,7 @@ class TestContentionBounds:
     def test_low_priority_transfer_suffers_interference(self):
         apps = crossing_apps()
         bounds = WindowAnalysisBackend().analyze(
-            unroll(apps, crossing_mapping(), platform(), bus_contention=True)
+            unroll(apps, crossing_mapping(), platform(), comm=BUS_JOBS)
         )
         # g1's transfer (low priority) can wait for both g2 transfers in
         # the hyperperiod window: worst finish >= own path + interference.
@@ -155,7 +160,7 @@ class TestContentionBounds:
         backend = WindowAnalysisBackend()
         reserved = backend.analyze(unroll(apps, mapping, arch))
         contended = backend.analyze(
-            unroll(apps, mapping, arch, bus_contention=True)
+            unroll(apps, mapping, arch, comm=BUS_JOBS)
         )
         assert contended.graph_wcrt("solo") == pytest.approx(
             reserved.graph_wcrt("solo")
@@ -167,8 +172,132 @@ class TestThroughAlgorithmOne:
         plain = MixedCriticalityAnalysis().analyze(
             hardened, architecture, mapping, dropped=("lo",)
         )
-        contended = MixedCriticalityAnalysis(bus_contention=True).analyze(
+        contended = MixedCriticalityAnalysis(comm=BUS_JOBS).analyze(
             hardened, architecture, mapping, dropped=("lo",)
         )
         for graph in hardened.applications.graph_names:
             assert contended.wcrt_of(graph) >= plain.wcrt_of(graph) - 1e-9
+
+
+class TestArqFold:
+    def test_message_wcet_folds_the_arq_margin(self):
+        arch = platform(arq_retries=2, arq_timeout=0.5)
+        jobset = unroll(crossing_apps(), crossing_mapping(), arch, comm=BUS_JOBS)
+        message = jobset.job(("p1>c1", 0))
+        assert message.bcet == 4.0
+        assert message.wcet == 3 * 4.0 + 2 * 0.5
+
+    def test_fingerprint_token_is_empty_without_arq(self):
+        plain = unroll(crossing_apps(), crossing_mapping(), platform(), comm=BUS_JOBS)
+        assert plain.comm_token == ""
+        arch = platform(arq_retries=1)
+        folded = unroll(crossing_apps(), crossing_mapping(), arch, comm=BUS_JOBS)
+        flat = unroll(
+            crossing_apps(), crossing_mapping(), arch, comm=make_comm("flat")
+        )
+        assert folded.comm_token.startswith("bus-jobs:")
+        assert folded.comm_token != flat.comm_token
+
+
+class TestSimulation:
+    @pytest.mark.parametrize("retries", (0, 2))
+    def test_simulation_matches_flat_with_the_same_arq(self, retries):
+        """The simulator keeps the reservation model: same bytes as flat."""
+        from repro import api
+        from repro.comm import with_comm
+        from repro.model.serialization import SystemBundle
+        from repro.serve.encoding import canonical_bytes, montecarlo_result_to_dict
+
+        arch = platform(arq_retries=retries, arq_timeout=0.5)
+        runs = {}
+        for backend in ("flat", "bus-jobs"):
+            bundle = SystemBundle(
+                crossing_apps(),
+                with_comm(arch, backend=backend),
+                crossing_mapping(),
+                HardeningPlan(),
+            )
+            result = api.simulate(bundle, profiles=40, seed=3, max_faults=2)
+            runs[backend] = canonical_bytes(montecarlo_result_to_dict(result))
+        assert runs["bus-jobs"] == runs["flat"]
+
+
+class TestLegacySwitch:
+    """``bus_contention`` is the ``bus-jobs`` backend over a flat fabric."""
+
+    def test_flat_fabric_becomes_bus_jobs_keeping_arq(self):
+        from repro.comm import legacy_bus_contention
+
+        arch = legacy_bus_contention(platform(arq_retries=2, arq_timeout=0.5))
+        ic = arch.interconnect
+        assert (ic.comm_backend, ic.arq_retries, ic.arq_timeout) == (
+            "bus-jobs", 2, 0.5,
+        )
+        for override in ("flat", "bus-jobs"):
+            assert legacy_bus_contention(arch, override).interconnect == ic
+
+    @pytest.mark.parametrize("declared", ("shared-bus", "tdma", "noc-xy"))
+    def test_other_declared_fabrics_rejected(self, declared):
+        from repro.comm import legacy_bus_contention
+        from repro.errors import AnalysisError
+
+        with pytest.raises(AnalysisError, match=f"'{declared}'"):
+            legacy_bus_contention(platform(comm_backend=declared))
+
+    def test_other_override_rejected(self):
+        from repro.comm import legacy_bus_contention
+        from repro.errors import AnalysisError
+
+        with pytest.raises(AnalysisError, match="'shared-bus'"):
+            legacy_bus_contention(platform(), "shared-bus")
+
+    def test_cli_flag_rejects_another_backend(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.model.serialization import save_system
+
+        path = tmp_path / "system.json"
+        save_system(path, crossing_apps(), platform(), crossing_mapping())
+        code = main(
+            ["analyze", str(path), "--bus-contention", "--comm-backend", "tdma"]
+        )
+        assert code == 2
+        assert "bus_contention" in capsys.readouterr().err
+
+    def test_cli_flag_equals_the_backend_spelling(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.model.serialization import save_system
+
+        path = tmp_path / "system.json"
+        save_system(
+            path, crossing_apps(), platform(arq_retries=2), crossing_mapping()
+        )
+        outputs = []
+        for flags in (["--bus-contention"], ["--comm-backend", "bus-jobs"]):
+            main(["analyze", str(path), *flags])
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
+class TestLegacySoundness:
+    def test_switch_over_an_arq_fabric_is_sound(self):
+        """Message jobs over flat with ``arq_retries=2`` keep the
+        retransmission margin, so simulated responses under message
+        faults stay within the bounds."""
+        from repro.comm import legacy_bus_contention
+        from repro.model.serialization import SystemBundle
+        from repro.verify.campaign import (
+            CampaignConfig,
+            run_campaign,
+            state_from_bundle,
+        )
+
+        architecture = legacy_bus_contention(platform(arq_retries=2))
+        bundle = SystemBundle(
+            crossing_apps(), architecture, crossing_mapping(), plan=None
+        )
+        state = state_from_bundle(bundle, seed=3)
+        report = run_campaign(
+            state, CampaignConfig(budget=60, seed=3), label="bus-jobs-arq"
+        )
+        assert report.ok, report.violations
+        assert report.oracles["sim-le-proposed"]["checks"] >= 1

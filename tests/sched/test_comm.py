@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ModelError
 from repro.model.architecture import Interconnect
 from repro.sched.comm import CommModel
 
@@ -37,27 +36,18 @@ class TestLatencyModel:
         Off-processor ``size <= 0`` transfers are pure synchronisation
         tokens: best-case they ride an open arbitration window (0.0),
         worst-case they still pay one arbitration round —
-        ``base_latency * contention_factor`` — never the bandwidth term.
+        ``base_latency`` — never the bandwidth term.
         """
-        model = CommModel(fabric, contention_factor=2.5)
+        model = CommModel(fabric)
         for size in (0.0, -1.0, -1e6):
             assert model.best_case(size, same_processor=False) == 0.0
             assert model.worst_case(size, same_processor=False) == (
-                pytest.approx(fabric.base_latency * 2.5)
+                fabric.base_latency
             )
 
 
 class TestContention:
-    def test_factor_stretches_worst_case_only(self, fabric):
-        model = CommModel(fabric, contention_factor=2.0)
-        assert model.worst_case(200.0, same_processor=False) == pytest.approx(6.0)
-        assert model.best_case(200.0, same_processor=False) == pytest.approx(3.0)
-
-    def test_factor_below_one_rejected(self, fabric):
-        with pytest.raises(ModelError):
-            CommModel(fabric, contention_factor=0.5)
-
     def test_best_never_exceeds_worst(self, fabric):
-        model = CommModel(fabric, contention_factor=3.0)
+        model = CommModel(fabric)
         for size in (0.0, 1.0, 100.0, 1e4):
             assert model.best_case(size, False) <= model.worst_case(size, False)

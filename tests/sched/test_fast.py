@@ -23,9 +23,11 @@ from repro.sched.jobs import unroll
 from repro.sched.wcrt import WindowAnalysisBackend
 from tests.sched.reference import ReferenceWindowBackend
 
-#: Comm configurations: flat latencies, the shared-bus comm backend, and
-#: priority-arbitrated message jobs on a virtual bus processor.
-COMMS = ("flat", "shared-bus", "bus-contention")
+#: Comm configurations by test id: flat latencies, the shared-bus comm
+#: backend, and priority-arbitrated message jobs on a virtual bus
+#: processor (the ``bus-jobs`` backend).
+BACKENDS = {"flat": "flat", "shared-bus": "shared-bus", "bus-contention": "bus-jobs"}
+COMMS = tuple(BACKENDS)
 
 
 def random_jobset(seed, policy="fp", comm="flat"):
@@ -70,10 +72,9 @@ def design_jobset(problem, design, policy="fp", comm="flat"):
         hardened.applications,
         design.mapping,
         problem.architecture,
-        comm=make_comm("shared-bus") if comm == "shared-bus" else None,
+        comm=make_comm(BACKENDS[comm]),
         bounds=bounds,
         policy=policy,
-        bus_contention=comm == "bus-contention",
     )
 
 

@@ -56,7 +56,12 @@ def _normal_state(item, comm=None):
 
 def assert_structure_matches(applications, mapping, architecture, **options):
     jobset = unroll(applications, mapping, architecture, **options)
-    jobs = reference_jobs(applications, mapping, architecture, **options)
+    # The reference builds message jobs by its own flag, set when the
+    # comm backend is spelled "bus-jobs".
+    message_jobs = getattr(options.get("comm"), "name", None) == "bus-jobs"
+    jobs = reference_jobs(
+        applications, mapping, architecture, bus_contention=message_jobs, **options
+    )
     reference = ReferenceStructure(jobs)
 
     assert jobset.jobs == tuple(jobs)
@@ -101,16 +106,17 @@ def test_perfbench_analyze_inputs(perfbench_inputs, position):
 
 @pytest.mark.parametrize("seed", [3, 8])
 @pytest.mark.parametrize("policy", ["fp", "edf"])
-@pytest.mark.parametrize("bus_contention", [False, True])
-@pytest.mark.parametrize("comm", ["flat", "shared-bus"])
+@pytest.mark.parametrize("arq", [False, True])
+@pytest.mark.parametrize("comm", ["flat", "shared-bus", "bus-jobs"])
 @pytest.mark.parametrize("shuffled", [False, True], ids=["ranked", "shuffled"])
-def test_seeded_tgff_systems(seed, policy, bus_contention, comm, shuffled):
+def test_seeded_tgff_systems(seed, policy, arq, comm, shuffled):
     problem = generate_problem(
         seed=seed, critical_graphs=2, droppable_graphs=2, processors=3
     )
     item = seeded_design(f"tgff-{seed}", problem, random.Random(seed))
+    budget = dict(arq_retries=2, arq_timeout=0.5) if arq else {}
     applications, mapping, architecture, options = _normal_state(
-        item, comm=make_comm(comm)
+        item, comm=make_comm(comm, **budget)
     )
     if shuffled:
         # Arbitrary task priorities: descendants may outrank ancestors,
@@ -119,14 +125,9 @@ def test_seeded_tgff_systems(seed, policy, bus_contention, comm, shuffled):
         ranks = random.Random(seed).sample(range(len(names)), len(names))
         options["priorities"] = dict(zip(names, ranks))
     jobset = assert_structure_matches(
-        applications,
-        mapping,
-        architecture,
-        policy=policy,
-        bus_contention=bus_contention,
-        **options,
+        applications, mapping, architecture, policy=policy, **options
     )
-    if bus_contention:
+    if comm == "bus-jobs":
         assert any(job.processor == "__bus__" for job in jobset.jobs)
 
 
@@ -153,7 +154,7 @@ def test_names_that_need_escaping(architecture):
         reliability_target=1e-6,
     )
     mapping = Mapping({"a%d": "pe0", 'b"%%': "pe1", "c'": "pe0"})
-    for bus_contention in (False, True):
+    for comm in ("flat", "bus-jobs"):
         assert_structure_matches(
-            ApplicationSet([graph]), mapping, architecture, bus_contention=bus_contention
+            ApplicationSet([graph]), mapping, architecture, comm=make_comm(comm)
         )

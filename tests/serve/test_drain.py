@@ -130,10 +130,12 @@ class TestParkAndResume:
         assert final["result"]["generations_run"] == params["generations"]
 
         reference = repro.explore(
-            bundle,
-            generations=params["generations"],
-            population=params["population"],
-            seed=params["seed"],
+            repro.dse.ExploreRequest.from_options(
+                bundle,
+                generations=params["generations"],
+                population=params["population"],
+                seed=params["seed"],
+            )
         )
         assert _front(final["result"]["pareto"]) == _front(
             [

@@ -67,6 +67,15 @@ class TestAnalyzeEndpoint:
         )
         assert raw == direct
 
+    def test_legacy_bus_contention_serves_the_bus_jobs_bytes(
+        self, client, bundle
+    ):
+        raw = client.analyze_raw(bundle, bus_contention=True)
+        direct = canonical_bytes(
+            analysis_result_to_dict(analyze(bundle, comm_backend="bus-jobs"))
+        )
+        assert raw == direct
+
     def test_concurrent_identical_requests_dedup(self, server, client, bundle):
         n = 6
         hits_before = _counter("serve.dedup.hits")
@@ -270,6 +279,42 @@ class TestErrorContract:
             client.analyze(bundle, verbosity=3)
         assert info.value.status == 400
         assert "unknown field" in str(info.value)
+
+    @pytest.mark.parametrize("value", ["false", "no", 1, None])
+    def test_non_boolean_bus_contention_400(self, client, bundle, value):
+        with pytest.raises(ServeError) as info:
+            client.analyze(bundle, bus_contention=value)
+        assert info.value.status == 400
+        assert "bus_contention must be a JSON boolean" in str(info.value)
+
+    @pytest.mark.parametrize("endpoint", ["analyze", "simulate", "explore"])
+    def test_unknown_comm_backend_400(self, client, bundle, endpoint):
+        from repro.serve.encoding import bundle_to_payload
+
+        system = bundle_to_payload(bundle)
+        system["architecture"]["interconnect"]["comm_backend"] = "bogus"
+        batches = _counter("serve.batches")
+        with pytest.raises(ServeError) as info:
+            getattr(client, endpoint)(system)
+        assert info.value.status == 400
+        assert "unknown comm backend 'bogus'" in str(info.value)
+        assert "bus-jobs" in str(info.value)
+        # Rejected at admission: nothing reached the batcher.
+        assert _counter("serve.batches") == batches
+
+    def test_bus_contention_over_shared_bus_400(self, client, bundle):
+        from repro.comm import with_comm
+
+        shared = SystemBundle(
+            bundle.applications,
+            with_comm(bundle.architecture, backend="shared-bus"),
+            bundle.mapping,
+            bundle.plan,
+        )
+        with pytest.raises(ServeError) as info:
+            client.analyze(shared, bus_contention=True)
+        assert info.value.status == 400
+        assert "'shared-bus'" in str(info.value)
 
     def test_saturated_pool_429_with_retry_after(self, server, client, bundle):
         # Plug every worker, then fill the admission queue to the brim.

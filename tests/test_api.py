@@ -4,6 +4,7 @@ import pytest
 
 import repro
 from repro.api import analyze, explore, load, simulate, validate_dropped
+from repro.dse import ExploreRequest
 from repro.errors import ReproError
 from repro.model.serialization import SystemBundle, save_system
 
@@ -112,7 +113,11 @@ class TestExplore:
     def test_matches_cli_explore_flow(self, tmp_path, apps, architecture):
         path = tmp_path / "plain.json"
         save_system(path, apps, architecture)
-        result = explore(str(path), generations=3, population=10, seed=5)
+        result = explore(
+            ExploreRequest.from_options(
+                str(path), generations=3, population=10, seed=5
+            )
+        )
         assert result.statistics.evaluations > 0
         # Same knobs through the CLI produce the same front.
         from repro.cli import main
@@ -138,8 +143,18 @@ class TestExplore:
             assert api_rows == cli_rows
 
     def test_suite_name_end_to_end(self):
-        result = explore("cruise", generations=2, population=8, seed=1)
+        result = explore(
+            ExploreRequest.from_options(
+                "cruise", generations=2, population=8, seed=1
+            )
+        )
         assert result.statistics.evaluations > 0
+
+    def test_only_a_request_is_accepted(self):
+        with pytest.raises(TypeError, match="ExploreRequest"):
+            explore("cruise")
+        with pytest.raises(TypeError):
+            explore("cruise", generations=2)
 
 
 class TestCacheIntrospection:

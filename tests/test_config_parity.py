@@ -1,12 +1,10 @@
 """Every front door builds the same ``ExploreRequest``.
 
-The API redesign's core claim: CLI flag vectors, HTTP payloads, and
-``api`` keyword calls all funnel through ``ExplorerConfig.from_options``
-into one typed request — so equivalent spellings are *provably* the same
-exploration (equal configs, equal canonical options, equal digests).
+The API redesign's core claim: CLI flag vectors and HTTP payloads both
+funnel through ``ExplorerConfig.from_options`` into one typed request —
+so equivalent spellings are *provably* the same exploration (equal
+configs, equal canonical options, equal digests).
 """
-
-import warnings
 
 import pytest
 
@@ -81,28 +79,6 @@ class TestFrontDoorParity:
         assert via_cli.config == via_http.config
         assert via_cli.topology == via_http.topology
         assert via_cli.backend == via_http.backend
-
-    def test_api_shim_warns_and_matches_request_path(self):
-        import repro.api as api
-
-        with warnings.catch_warnings(record=True) as log:
-            warnings.simplefilter("always")
-            shimmed = api.explore(
-                "cruise", generations=2, population=8, seed=1
-            )
-        assert any(
-            issubclass(entry.category, DeprecationWarning) for entry in log
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the request path is clean
-            direct = api.explore(
-                ExploreRequest.from_options(
-                    "cruise", generations=2, population=8, seed=1
-                )
-            )
-        assert [
-            (p.power, p.service, p.dropped) for p in shimmed.pareto
-        ] == [(p.power, p.service, p.dropped) for p in direct.pareto]
 
 
 class TestCanonicalization:

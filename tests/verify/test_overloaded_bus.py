@@ -1,11 +1,12 @@
-"""Soundness of the shared-bus census bound on an overloaded medium.
+"""Soundness of the shared-fabric backends on an overloaded medium.
 
 Under the campaign's round-robin design, 20 of the comm-dominated
 system's 35 cross-processor channels see a higher-priority utilisation
 of at least 1, so their busy periods take the overload short-circuit of
-:func:`repro.comm.base.busy_period_table`.  A seeded campaign must still
-find simulated responses within the Proposed bounds and an intact comm
-lattice.
+:func:`repro.comm.base.busy_period_table`.  Under ``bus-jobs`` the same
+transfers are message jobs that queue on the virtual bus processor.  A
+seeded campaign must still find simulated responses within the Proposed
+bounds and an intact comm lattice.
 """
 
 import pytest
@@ -20,10 +21,20 @@ from repro.verify.campaign import (
 )
 
 
-@pytest.mark.parametrize("retries", (0, 2))
-def test_overloaded_shared_bus_campaign_is_clean(retries):
-    problem = comm_dominated_problem(arq_retries=retries)
-    assert problem.architecture.interconnect.comm_backend == "shared-bus"
+@pytest.mark.parametrize(
+    "comm_backend, retries",
+    [
+        pytest.param("shared-bus", 0, id="0"),
+        pytest.param("shared-bus", 2, id="2"),
+        pytest.param("bus-jobs", 0, id="bus-jobs-0"),
+        pytest.param("bus-jobs", 2, id="bus-jobs-2"),
+    ],
+)
+def test_overloaded_shared_bus_campaign_is_clean(comm_backend, retries):
+    problem = comm_dominated_problem(
+        comm_backend=comm_backend, arq_retries=retries
+    )
+    assert problem.architecture.interconnect.comm_backend == comm_backend
     bundle = SystemBundle(
         problem.applications, problem.architecture, mapping=None, plan=None
     )
