@@ -42,7 +42,7 @@ that trigger.
 """
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -232,7 +232,8 @@ class MixedCriticalityAnalysis:
         dropped_set = hardened.source.validate_drop_set(dropped)
         base = self._base_jobset(hardened, architecture, mapping)
         with trace_span("analysis.normal"):
-            normal = self._sched(base)
+            (normal,), hits = self._sched([base])
+            annotate(cache_hit=bool(hits), sweeps=normal.sweeps)
 
         graph_names = [graph.name for graph in hardened.applications.graphs]
         task_names = [task.name for task in hardened.applications.all_tasks]
@@ -275,26 +276,39 @@ class MixedCriticalityAnalysis:
         )
         surviving_graph_at = graph_at[surviving_graphs]
         surviving_task_at = task_at[surviving_tasks]
-        transitions_pruned = 0
-        transitions: List[TransitionInfo] = []
-        for trigger, instance, window in self._enumerate_transitions(
-            hardened, base, normal
-        ):
-            label = (
-                trigger.primary
-                if instance is None
-                else f"{trigger.primary}@{instance}"
+        # Every transition first; then the pruner keeps rows, the cache
+        # answers what it can, one back-end call solves the rest, and the
+        # results fold in enumeration order, so the first strictly worse
+        # transition keeps each label.
+        enumerated, windows = self._enumerate_transitions(hardened, base, normal)
+        bcet_rows, wcet_rows = plan.rows(enumerated, windows)
+        labels = [
+            trigger.primary if instance is None else f"{trigger.primary}@{instance}"
+            for trigger, instance in enumerated
+        ]
+        with trace_span("analysis.transitions", chunks=0) as phase:
+            kept: List[int] = []
+            for row, (bcet, wcet) in enumerate(zip(bcet_rows, wcet_rows)):
+                if pruner is not None:
+                    if pruner.is_dominated(bcet, wcet):
+                        continue
+                    pruner.record(bcet, wcet)
+                kept.append(row)
+            results, hits = self._sched(
+                [base.with_bound_arrays(bcet_rows[row], wcet_rows[row]) for row in kept],
+                seed=warm_seed,
             )
-            bcet, wcet = plan.bounds(trigger, instance, window)
-            if pruner is not None:
-                if pruner.is_dominated(bcet, wcet):
-                    transitions_pruned += 1
-                    continue
-                pruner.record(bcet, wcet)
-            with trace_span("analysis.transition", trigger=label):
-                bounds = self._sched(
-                    base.with_bound_arrays(bcet, wcet), seed=warm_seed
-                )
+            transitions_pruned = len(enumerated) - len(kept)
+            phase.set_attributes(
+                transitions=len(kept),
+                pruned=transitions_pruned,
+                cache_hits=hits,
+                rows=len(kept) - hits,
+            )
+        transitions: List[TransitionInfo] = []
+        bus = obs_events.bus()
+        for row, bounds in zip(kept, results):
+            label = labels[row]
             wcrt = bounds.aggregate("graph_wcrt")[surviving_graph_at]
             worse = wcrt > graph_wcrt[surviving_graphs]
             for k in surviving_graphs[worse].tolist():
@@ -303,18 +317,17 @@ class MixedCriticalityAnalysis:
             finish = bounds.aggregate("task_max_finish")[surviving_task_at]
             later = finish > task_completion[surviving_tasks]
             task_completion[surviving_tasks[later]] = finish[later]
-            transition_wcrt = dict(zip(surviving_names, wcrt.tolist()))
+            trigger, instance = enumerated[row]
             transitions.append(
                 TransitionInfo(
                     trigger_primary=trigger.primary,
                     trigger_kind=trigger.kind,
                     instance=instance,
-                    min_start=window[0],
-                    max_finish=window[1],
-                    wcrt=transition_wcrt,
+                    min_start=windows[0][row],
+                    max_finish=windows[1][row],
+                    wcrt=dict(zip(surviving_names, wcrt.tolist())),
                 )
             )
-            bus = obs_events.bus()
             if bus.wants(ScenarioAnalyzed):
                 bus.publish(
                     ScenarioAnalyzed(
@@ -356,41 +369,78 @@ class MixedCriticalityAnalysis:
     # ------------------------------------------------------------------
 
     def _sched(
-        self, jobset: JobSet, seed: Optional[ScheduleBounds] = None
-    ) -> ScheduleBounds:
-        """One ``sched()`` back-end invocation, with telemetry.
+        self, jobsets: Sequence[JobSet], seed: Optional[ScheduleBounds] = None
+    ) -> Tuple[List[ScheduleBounds], int]:
+        """``sched()`` for every job set, in order, with telemetry; returns
+        the bounds and the number of cache hits.
 
-        With a memoizing fast path, job sets whose canonical fingerprints
-        match a cached entry return the cached bounds without touching
-        the back-end (and without counting as an invocation — the
-        ``sched.sweeps``/``sched.invocations`` pairing stays exact).
+        With a memoizing fast path, a job set whose canonical fingerprint
+        matches a cached entry, or an earlier set of the same call, reuses
+        those bounds without touching the back-end (and without counting
+        as an invocation — the ``sched.sweeps``/``sched.invocations``
+        pairing stays exact).  The remaining sets go to the back-end in one
+        :meth:`_solve`; their bounds enter the cache in order, and each
+        repeat then reads its bounds back from the cache, as it would
+        have had the sets been solved one at a time.
         """
         registry = metrics()
         fast = self._fast_path
-        key: Optional[str] = None
-        if fast is not None and fast.memoize:
-            key = jobset.fingerprint()
-            cached = fast.cache.get(key, jobset)
-            if cached is not None:
-                registry.counter("analysis.cache.hits").inc()
-                annotate(cache_hit=True)
-                return cached
-            registry.counter("analysis.cache.misses").inc()
-            annotate(cache_hit=False)
-        registry.counter("sched.invocations").inc()
-        with registry.timer("sched.seconds").time():
-            if seed is not None and getattr(
-                self._backend, "supports_warm_start", False
-            ):
-                bounds = self._backend.analyze(jobset, seed=seed)
-            else:
-                bounds = self._backend.analyze(jobset)
-        registry.histogram("sched.sweeps").observe(bounds.sweeps)
-        annotate(sweeps=bounds.sweeps)
-        if key is not None:
-            fast.cache.put(key, bounds)
-            registry.gauge("analysis.cache.size").set(len(fast.cache))
-        return bounds
+        memo = fast is not None and fast.memoize
+        results: List[Optional[ScheduleBounds]] = [None] * len(jobsets)
+        keys: List[str] = []
+        solver: Dict[str, int] = {}  # fingerprint -> the row solving it
+        misses: List[int] = []
+        hits = 0
+        for row, jobset in enumerate(jobsets):
+            if memo:
+                key = jobset.fingerprint()
+                keys.append(key)
+                if key in solver:
+                    hits += 1
+                    continue
+                results[row] = fast.cache.get(key, jobset)
+                if results[row] is not None:
+                    hits += 1
+                    continue
+                solver[key] = row
+            misses.append(row)
+        if memo and hits:
+            registry.counter("analysis.cache.hits").inc(hits)
+        if memo and misses:
+            registry.counter("analysis.cache.misses").inc(len(misses))
+        if misses:
+            registry.counter("sched.invocations").inc(len(misses))
+            with registry.timer("sched.seconds").time():
+                solved = self._solve([jobsets[row] for row in misses], seed)
+            sweeps = registry.histogram("sched.sweeps")
+            for row, bounds in zip(misses, solved):
+                sweeps.observe(bounds.sweeps)
+                results[row] = bounds
+        if memo:
+            for row, key in enumerate(keys):
+                if solver.get(key) == row:
+                    fast.cache.put(key, results[row])
+                elif results[row] is None:
+                    cached = fast.cache.get(key, jobsets[row])
+                    results[row] = cached if cached is not None else results[solver[key]]
+            if misses:
+                registry.gauge("analysis.cache.size").set(len(fast.cache))
+        return results, hits
+
+    def _solve(
+        self, jobsets: List[JobSet], seed: Optional[ScheduleBounds]
+    ) -> List[ScheduleBounds]:
+        """One back-end call for every job set: the batch entry
+        ``analyze_many`` where the back-end has one, else ``analyze`` per
+        set (with the warm-start seed where supported)."""
+        backend = self._backend
+        many = getattr(backend, "analyze_many", None)
+        if many is not None:
+            return many(jobsets)
+        annotate(chunks=len(jobsets))
+        if seed is not None and getattr(backend, "supports_warm_start", False):
+            return [backend.analyze(jobset, seed=seed) for jobset in jobsets]
+        return [backend.analyze(jobset) for jobset in jobsets]
 
     def _base_jobset(
         self,
@@ -421,29 +471,37 @@ class MixedCriticalityAnalysis:
         hardened: HardenedSystem,
         base: JobSet,
         normal: ScheduleBounds,
-    ):
-        """Yield ``(trigger, instance, (minStart_v, maxFinish_v))`` tuples."""
+    ) -> Tuple[List[Tuple[CriticalTrigger, Optional[int]]], Tuple[List[float], List[float]]]:
+        """Every transition as ``(trigger, instance)``, with the windows
+        ``(minStart_v, maxFinish_v)`` as two lists in the same order."""
+        enumerated: List[Tuple[CriticalTrigger, Optional[int]]] = []
+        starts: List[float] = []
+        finishes: List[float] = []
+        slots = base.columns.task_slots
+        task_index = base.columns.task_index
+        groups = base.analyzed_groups("task_name")
         for trigger in hardened.triggers():
             if self._granularity == "task":
-                min_start = min(
-                    normal.task_min_start(anchor) for anchor in trigger.start_anchors
+                enumerated.append((trigger, None))
+                starts.append(
+                    min(normal.task_min_start(anchor) for anchor in trigger.start_anchors)
                 )
-                max_finish = normal.task_max_finish(trigger.finish_anchor)
-                yield trigger, None, (min_start, max_finish)
-            else:
-                members = base.analyzed_groups("task_name").members(
-                    trigger.finish_anchor
-                )
-                instances = sorted(base.columns.instance[members].tolist())
-                for instance in instances:
-                    min_start = min(
-                        normal.job_bounds((anchor, instance)).min_start
-                        for anchor in trigger.start_anchors
-                    )
-                    max_finish = normal.job_bounds(
-                        (trigger.finish_anchor, instance)
-                    ).max_finish
-                    yield trigger, instance, (min_start, max_finish)
+                finishes.append(normal.task_max_finish(trigger.finish_anchor))
+                continue
+            # The analyzed instances are a prefix 0..k-1; instance i of a
+            # task is at ``first + i * size`` (JobColumns.task_slots).
+            instances = np.arange(len(groups.members(trigger.finish_anchor)))
+
+            def jobs(task_name: str) -> np.ndarray:
+                first, size, _count = slots[task_index[task_name]]
+                return first + instances * size
+
+            starts += np.minimum.reduce(
+                [normal.min_start[jobs(anchor)] for anchor in trigger.start_anchors]
+            ).tolist()
+            finishes += normal.max_finish[jobs(trigger.finish_anchor)].tolist()
+            enumerated += [(trigger, instance) for instance in instances.tolist()]
+        return enumerated, (starts, finishes)
 
 
 class _TransitionPlan:
@@ -452,8 +510,9 @@ class _TransitionPlan:
     Everything that does not depend on the transition — each job's
     category (dropped graph, time-redundant, passive copy), its Eq. (1)
     worst case and its activated-copy WCET — is computed once per
-    analysis; :meth:`bounds` then classifies all jobs of one transition
-    with a handful of vector operations (lines 12–30 of Algorithm 1).
+    analysis; :meth:`rows` then classifies all jobs of every transition
+    at once with a handful of (transitions × jobs) vector operations
+    (lines 12–30 of Algorithm 1).
     """
 
     def __init__(
@@ -508,42 +567,62 @@ class _TransitionPlan:
         low = np.zeros(count) if zero_dropped_bcet else self._bcet
         self._dropped_low = np.minimum(low, self._wcet)
 
-    def bounds(
+    def rows(
         self,
-        trigger: CriticalTrigger,
-        instance: Optional[int],
-        window: Tuple[float, float],
+        enumerated: Sequence[Tuple[CriticalTrigger, Optional[int]]],
+        windows: Tuple[Sequence[float], Sequence[float]],
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(bcet, wcet)`` arrays of one outer-loop iteration, classified
+        """``(bcet, wcet)`` matrices with one row per transition, classified
         as in the module docs; jobs finishing before ``minStart_v`` keep
-        their nominal bounds (passive copies are ``[0, 0]`` in ``base``)."""
-        min_start_v, max_finish_v = window
-        affected = ~(self._normal_max_finish < min_start_v)
-        bcet = np.array(self._bcet)
-        wcet = np.array(self._wcet)
+        their nominal bounds (passive copies are ``[0, 0]`` in ``base``).
 
+        The categories are mutually exclusive, so each matrix is one
+        selection over (transitions × jobs) masks; the trigger's own jobs
+        are then patched row by row."""
+        min_start_v = np.array(windows[0], dtype=float)[:, None]
+        max_finish_v = np.array(windows[1], dtype=float)[:, None]
+        affected = ~(self._normal_max_finish < min_start_v)
         dropped = affected & self._dropped
         gone = dropped & (self._normal_min_start > max_finish_v)
         maybe = dropped & ~gone
-        bcet[maybe] = self._dropped_low[maybe]
-        bcet[gone] = 0.0
-        wcet[gone] = 0.0
         redundant = affected & self._redundant
-        wcet[redundant] = self._inflated[redundant]
         passive = affected & self._passive
-        bcet[passive] = 0.0
-        wcet[passive] = self._activated[passive]
+        bcet = np.where(
+            gone | passive, 0.0, np.where(maybe, self._dropped_low, self._bcet)
+        )
+        wcet = np.where(
+            gone,
+            0.0,
+            np.where(
+                redundant,
+                self._inflated,
+                np.where(passive, self._activated, self._wcet),
+            ),
+        )
 
-        if trigger.kind is not HardeningKind.PASSIVE:  # time-redundant trigger
-            own = self._jobs_of(trigger.primary, instance)
-            bcet[own] = self._bcet[own]
-            wcet[own] = self._inflated[own]
-        else:  # passive replication: the requested copies become live
-            for name in self._hardened.replica_groups[trigger.primary]:
-                if self._hardened.is_passive(name):
-                    own = self._jobs_of(name, instance)
-                    bcet[own] = 0.0
-                    wcet[own] = self._activated[own]
+        # The trigger's own jobs: a time-redundant trigger takes Eq. (1);
+        # passive replication activates the requested copies.
+        own_rows, own_jobs, own_passive = [], [], []
+        for row, (trigger, instance) in enumerate(enumerated):
+            passive_trigger = trigger.kind is HardeningKind.PASSIVE
+            names = (
+                [n for n in self._hardened.replica_groups[trigger.primary]
+                 if self._hardened.is_passive(n)]
+                if passive_trigger
+                else [trigger.primary]
+            )
+            for name in names:
+                own = self._jobs_of(name, instance)
+                own_rows.append(np.full(len(own), row))
+                own_jobs.append(own)
+                own_passive.append(np.full(len(own), passive_trigger))
+        if own_jobs:
+            rows, jobs = np.concatenate(own_rows), np.concatenate(own_jobs)
+            activated = np.concatenate(own_passive)
+            bcet[rows, jobs] = np.where(activated, 0.0, self._bcet[jobs])
+            wcet[rows, jobs] = np.where(
+                activated, self._activated[jobs], self._inflated[jobs]
+            )
         return bcet, wcet
 
     def _jobs_of(self, task_name: str, instance: Optional[int]) -> np.ndarray:

@@ -433,11 +433,11 @@ class JobSet:
         does not depend on execution-time bounds, so it is computed once
         and shared across :meth:`with_bounds` clones.
         """
-        return self._derive("batch_records", self._batch_records)
+        return self.derived("batch_records", self._batch_records)
 
     def batch_columns(self) -> BatchColumns:
         """The batches as index arrays (the back-end's view)."""
-        return self._derive("batches", lambda: _batch_columns(self._columns))
+        return self.derived("batches", lambda: _batch_columns(self._columns))
 
     def interference_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(victim, interferer)`` index arrays of every same-processor,
@@ -449,7 +449,7 @@ class JobSet:
         be *pending* concurrently with it — they are soundly excluded
         from the same-processor interference sets.
         """
-        return self._derive("hp", lambda: _interference_pairs(self._columns))
+        return self.derived("hp", lambda: _interference_pairs(self._columns))
 
     def _batch_records(self) -> Tuple["Batch", ...]:
         columns = self.batch_columns()
@@ -485,7 +485,7 @@ class JobSet:
                 if job.bcet == bcet and job.wcet == wcet
                 else replace(job, bcet=bcet, wcet=wcet)
                 for job, bcet, wcet in zip(
-                    self._derive("jobs", self._job_records),
+                    self.derived("jobs", self._job_records),
                     self._bcet.tolist(),
                     self._wcet.tolist(),
                 )
@@ -580,15 +580,17 @@ class JobSet:
                 positions={name: k for k, name in enumerate(names)},
             )
 
-        return self._derive(f"groups:{key}", build)
+        return self.derived(f"groups:{key}", build)
 
-    def _derive(self, name: str, build):
-        """``build()``, computed once and shared with every clone."""
+    def derived(self, name: str, build):
+        """``build()``, computed once per structure and shared with every
+        clone; threads racing on a first build share the first stored
+        value.  ``build`` must depend on the structure only, never on the
+        execution-time bounds."""
         value = self._derived.get(name)
         if value is None:
             with trace_span("sched.jobset.build", part=name, jobs=len(self)):
-                value = build()
-            self._derived[name] = value
+                value = self._derived.setdefault(name, build())
         return value
 
     @property
@@ -679,7 +681,7 @@ class JobSet:
             victim, other = self.interference_pairs()
             return [tuple(group) for group in _groups(victim, other.tolist(), len(self))]
 
-        return self._derive("hp_lists", build)[job_index]
+        return self.derived("hp_lists", build)[job_index]
 
     # ------------------------------------------------------------------
     # Canonical identity
@@ -709,7 +711,7 @@ class JobSet:
         return digest.hexdigest()
 
     def _structure(self) -> bytes:
-        return self._derive("digest", self._structure_digest)
+        return self.derived("digest", self._structure_digest)
 
     def _structure_digest(self) -> bytes:
         """sha256 over one ``repr`` line per job, job by job.

@@ -33,7 +33,7 @@ from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.obs.trace import span as trace_span
+from repro.obs.trace import annotate, span as trace_span
 from repro.sched.jobs import JobId, JobSet, read_only_array
 
 
@@ -178,6 +178,12 @@ class SchedBackend(Protocol):
     Any analysis that returns safe lower bounds on start times and safe
     upper bounds on finish times per job can serve as the ``sched``
     function (paper §3 explicitly allows swapping the back-end).
+
+    A back-end may also offer ``analyze_many(jobsets)`` for clones of one
+    job set, returning one result per set, in order;
+    :class:`~repro.core.analysis.MixedCriticalityAnalysis` then hands it
+    every transition of an analysis in one call, and otherwise calls
+    ``analyze`` once per transition.
     """
 
     def analyze(self, jobset: JobSet) -> ScheduleBounds:
@@ -244,11 +250,17 @@ class _PairSpace:
 
 
 class _Precomputed:
-    """Index arrays shared by every analysis of structurally-equal job sets."""
+    """Index arrays shared by every analysis of structurally-equal job sets.
+
+    :meth:`tiled` stacks ``rows`` disjoint copies of the structure, so one
+    fixed point solves several ``(bcet, wcet)`` rows at once.
+    """
 
     def __init__(self, jobset: JobSet):
         #: Per-thread workspace, built on a thread's first use.
         self._local = threading.local()
+        #: Stacked copies of this structure, by row count.
+        self._tiles: Dict[int, "_Precomputed"] = {}
         columns = jobset.columns
         count = self.count = len(jobset)
         self.release = np.array(columns.release)
@@ -267,13 +279,10 @@ class _Precomputed:
             self.pred_comm_best = columns.pred_best[edges]
             self.pred_comm_worst = columns.pred_worst[edges]
             steps = np.arange(int(level.max()) + 2)
-            member_cuts = np.searchsorted(level[by_level], steps).tolist()
-            edge_cuts = np.searchsorted(level[self.pred_dst], steps).tolist()
-            self.levels: List[Tuple[np.ndarray, slice]] = [
-                (by_level[member_cuts[k]:member_cuts[k + 1]],
-                 slice(edge_cuts[k], edge_cuts[k + 1]))
-                for k in range(len(steps) - 1)
-            ]
+            self._by_level = by_level
+            self._member_cuts = np.searchsorted(level[by_level], steps).tolist()
+            self._edge_cuts = np.searchsorted(level[self.pred_dst], steps).tolist()
+            self.levels = _levels(by_level, self._member_cuts, self._edge_cuts)
 
         # Interference pairs: victims ascending, interferers in rank order.
         self.hp_victim, self.hp_other = jobset.interference_pairs()
@@ -292,6 +301,65 @@ class _Precomputed:
         self.ext_comm = batches.ext_comm
         self.int_batch = batches.int_batch
         self.int_other = batches.int_other
+
+    @property
+    def pairs(self) -> int:
+        """Interference pairs plus batch interferers."""
+        return len(self.hp_victim) + len(self.int_batch)
+
+    def tiled(self, rows: int) -> "_Precomputed":
+        """``rows`` disjoint copies of this structure, built once per row
+        count and kept.
+
+        Copy ``r`` holds jobs ``r·n … r·n + n − 1`` and batches
+        ``r·b … r·b + b − 1``.  Every index array lists row 0's entries,
+        then row 1's, and so on, so ``bincount`` adds each slot's weights
+        in the single-row order; level ``k`` keeps one contiguous edge
+        slice over all rows.
+        """
+        if rows == 1:
+            return self
+        tiled = self._tiles.get(rows)
+        if tiled is None:
+            tiled = self._tiles.setdefault(rows, self._tile(rows))
+        return tiled
+
+    def _tile(self, rows: int) -> "_Precomputed":
+        tiled = object.__new__(_Precomputed)
+        tiled._local = threading.local()
+        count, batch_count = self.count, self.batch_count
+        copy = np.arange(rows)[:, None]
+
+        def shifted(index: np.ndarray, step: int) -> np.ndarray:
+            return (index + step * copy).ravel()
+
+        tiled.count = rows * count
+        tiled.batch_count = rows * batch_count
+        tiled.release = np.tile(self.release, rows)
+        edge, edge_copy = _grouped_copies(self._edge_cuts, rows)
+        tiled.pred_src = self.pred_src[edge] + count * edge_copy
+        tiled.pred_dst = self.pred_dst[edge] + count * edge_copy
+        tiled.pred_comm_best = self.pred_comm_best[edge]
+        tiled.pred_comm_worst = self.pred_comm_worst[edge]
+        member, member_copy = _grouped_copies(self._member_cuts, rows)
+        tiled.levels = _levels(
+            self._by_level[member] + count * member_copy,
+            [rows * cut for cut in self._member_cuts],
+            [rows * cut for cut in self._edge_cuts],
+        )
+        tiled.hp_victim = shifted(self.hp_victim, count)
+        tiled.hp_other = shifted(self.hp_other, count)
+        tiled.batch_release = np.tile(self.batch_release, rows)
+        tiled.member_batch = shifted(self.member_batch, batch_count)
+        tiled.member_flat = shifted(self.member_flat, count)
+        tiled.batch_starts = shifted(self.batch_starts, len(self.member_flat))
+        tiled.job_batch = shifted(self.job_batch, batch_count)
+        tiled.ext_batch = shifted(self.ext_batch, batch_count)
+        tiled.ext_src = shifted(self.ext_src, count)
+        tiled.ext_comm = np.tile(self.ext_comm, rows)
+        tiled.int_batch = shifted(self.int_batch, batch_count)
+        tiled.int_other = shifted(self.int_other, count)
+        return tiled
 
     def workspace(self) -> Tuple[_PairSpace, _PairSpace]:
         """The calling thread's pair spaces for this structure: over the
@@ -332,9 +400,42 @@ class _Precomputed:
         return start
 
 
+def _levels(
+    by_level: np.ndarray, member_cuts: List[int], edge_cuts: List[int]
+) -> List[Tuple[np.ndarray, slice]]:
+    """Each level's member array and slice of (level-sorted) edges."""
+    return [
+        (by_level[member_cuts[k]:member_cuts[k + 1]], slice(edge_cuts[k], edge_cuts[k + 1]))
+        for k in range(len(member_cuts) - 1)
+    ]
+
+
+def _grouped_copies(cuts: List[int], rows: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(item, copy)`` of ``rows`` copies of items grouped at ``cuts``,
+    listed group by group, each group copy by copy, items in order."""
+    size = cuts[-1]
+    group = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+    item = np.tile(np.arange(size), rows)
+    copy = np.repeat(np.arange(rows), size)
+    order = np.argsort(group[item] * rows + copy, kind="stable")
+    return item[order], copy[order]
+
+
 def _sums(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     """Per-slot sums of ``weights``, each added in array order from 0.0."""
     return np.bincount(index, weights=weights, minlength=size)
+
+
+#: A row has converged at the first sweep in which none of its values
+#: grows by more than this; that sweep's growth is discarded.
+_TOLERANCE = 1e-12
+
+#: Pair budget of one stacked fixed point.  Rows are solved in chunks of
+#: ``max(1, _CHUNK_PAIRS // pairs)``, where ``pairs`` counts one row's
+#: interference pairs and batch interferers: stacking every row of a
+#: large structure at once makes each sweep's pair arrays too large to
+#: stay cache-resident and runs slower than a few rows at a time.
+_CHUNK_PAIRS = 1 << 17
 
 
 class WindowAnalysisBackend:
@@ -347,26 +448,59 @@ class WindowAnalysisBackend:
       topological levels, one vector step per level;
     * each fixed-point sweep is Jacobi: every bound is computed from the
       previous sweep's state, with interference summed in interferer
-      order, and every value rises to ``max(old, candidate)``.  The loop
-      stops at the first sweep in which no value grows by more than
-      ``1e-12``.
+      order, and every value rises to ``max(old, candidate)``.  A row
+      stops at its first sweep in which none of its values grows by more
+      than ``1e-12``.
+
+    :meth:`analyze_many` solves several clones of one structure in one
+    fixed point over stacked disjoint copies; :meth:`analyze` is its
+    one-row case.  Each row's bounds equal those of analysing it alone.
     """
 
     def __init__(self, max_sweeps: int = 200):
         if max_sweeps < 1:
             raise AnalysisError("max_sweeps must be >= 1")
         self._max_sweeps = max_sweeps
-        #: ``(structure key, index arrays)`` of the last job set seen;
-        #: one attribute, so concurrent callers never pair a key with
-        #: another structure's arrays.
-        self._structure: Optional[Tuple[object, _Precomputed]] = None
 
     def analyze(self, jobset: JobSet) -> ScheduleBounds:
         """Compute bounds for every job of the set."""
-        pre = self._precomputed(jobset)
+        return self.analyze_many([jobset])[0]
+
+    def analyze_many(self, jobsets: Sequence[JobSet]) -> List[ScheduleBounds]:
+        """Bounds of job sets sharing one structure (``with_bound_arrays``
+        clones of one base), in order, each ``==`` to :meth:`analyze` of
+        that set alone.
+
+        The rows go through the stacked fixed point in chunks sized by the
+        structure's pair count (``_CHUNK_PAIRS``); the number of chunks is
+        annotated on the caller's span as ``chunks``.
+        """
+        if not jobsets:
+            return []
+        first = jobsets[0]
+        if any(jobset.topo_order is not first.topo_order for jobset in jobsets):
+            raise AnalysisError("analyze_many needs clones of one job set")
+        base = first.derived("window", lambda: _Precomputed(first))
+        step = max(1, _CHUNK_PAIRS // max(1, base.pairs))
+        starts = range(0, len(jobsets), step)
+        results: List[ScheduleBounds] = []
+        for start in starts:
+            results += self._solve(base, jobsets[start:start + step])
+        annotate(chunks=len(starts))
+        return results
+
+    def _solve(
+        self, base: _Precomputed, jobsets: Sequence[JobSet]
+    ) -> List[ScheduleBounds]:
+        """One fixed point over ``len(jobsets)`` stacked copies of ``base``."""
+        rows = len(jobsets)
+        pre = base.tiled(rows)
         count = pre.count
-        bcet = jobset.bcet
-        wcet = jobset.wcet
+        if rows == 1:
+            bcet, wcet = jobsets[0].bcet, jobsets[0].wcet
+        else:
+            bcet = np.concatenate([jobset.bcet for jobset in jobsets])
+            wcet = np.concatenate([jobset.wcet for jobset in jobsets])
 
         # ---- best case: longest path, no interference ----
         min_finish = np.zeros(count)
@@ -390,11 +524,16 @@ class WindowAnalysisBackend:
         # per-batch work-conservation bound.  Each sweep raises every
         # value to max(old, min(job bound, batch bound)); the sequence is
         # nondecreasing and bounded, and at the fixed point every value
-        # dominates the smaller of two safe bounds.
-        converged = False
-        sweeps = 0
-        with trace_span("sched.window.fixed_point", jobs=count) as fp_span:
-            for sweeps in range(1, self._max_sweeps + 1):
+        # dominates the smaller of two safe bounds.  A converged row is
+        # frozen: its values keep the state it converged at while the
+        # other rows sweep on (rows never read each other's jobs).
+        converged = np.zeros(rows, dtype=bool)
+        sweeps = np.full(rows, self._max_sweeps)
+        live = None  # per-job mask of unconverged rows, once one converges
+        with trace_span(
+            "sched.window.fixed_point", jobs=count, rows=rows
+        ) as fp_span:
+            for sweep in range(1, self._max_sweeps + 1):
                 batch_arrival = pre.batch_release.copy()
                 np.maximum.at(
                     batch_arrival, pre.ext_batch, max_finish[pre.ext_src] + pre.ext_comm
@@ -429,44 +568,41 @@ class WindowAnalysisBackend:
 
                 candidate = np.minimum(arrival + wcet + interference, batch_cap)
                 new_finish = np.maximum(max_finish, candidate)
-                if not (new_finish > max_finish + 1e-12).any():
-                    converged = True
-                    break
+                grew = new_finish > max_finish + _TOLERANCE
+                grew = grew.reshape(rows, -1).any(axis=1)
+                done = ~grew & ~converged
+                if done.any():
+                    converged |= done
+                    sweeps[done] = sweep
+                    if converged.all():
+                        break
+                    live = np.repeat(~converged, base.count)
+                if live is not None:
+                    new_finish = np.where(live, new_finish, max_finish)
                 max_finish = new_finish
-            fp_span.set_attributes(sweeps=sweeps, converged=converged)
+            fp_span.set_attributes(sweeps=sweep, converged=bool(converged.all()))
 
-        if not converged:
+        if not converged.all():
             # Trivially safe fallback: charge every higher-priority job on
             # the processor, independent of windows.  One level-ordered
             # pass computes each value from already-final predecessors,
             # so it is its own fixed point.
             hp_total = _sums(pre.hp_victim, hp.wcet, count)
-            pre.forward(max_finish, pre.pred_comm_worst, wcet, hp_total)
+            fallback = np.zeros(count)
+            pre.forward(fallback, pre.pred_comm_worst, wcet, hp_total)
+            max_finish = np.where(
+                np.repeat(~converged, base.count), fallback, max_finish
+            )
 
-        return ScheduleBounds(
-            jobset,
-            min_start,
-            min_finish,
-            max_finish - wcet,
-            max_finish,
-            converged,
-            sweeps,
-        )
-
-    def _precomputed(self, jobset: JobSet) -> _Precomputed:
-        """Share index arrays across ``with_bounds`` clones.
-
-        Clones keep the same precedence/priority structure (only bcet and
-        wcet change), identified here by the shared ``topo_order`` tuple —
-        compared by identity, with the key object held so it cannot be
-        recycled.  At most one structure is cached (the Algorithm-1 access
-        pattern re-analyses many clones of one base job set).  The pair
-        is read once and replaced whole, so threads sharing the back-end
-        each analyse with arrays that match their own job set.
-        """
-        key = jobset.topo_order
-        cached = self._structure
-        if cached is None or cached[0] is not key:
-            cached = (key, _Precomputed(jobset))
-            self._structure = cached
-        return cached[1]
+        # Each row is copied out of the stacked arrays (ScheduleBounds
+        # copies), so cached bounds never pin a chunk's buffers.
+        arrays = [
+            values.reshape(rows, -1)
+            for values in (min_start, min_finish, max_finish - wcet, max_finish)
+        ]
+        return [
+            ScheduleBounds(jobset, *(values[row] for values in arrays), ok, used)
+            for row, (jobset, ok, used) in enumerate(
+                zip(jobsets, converged.tolist(), sweeps.tolist())
+            )
+        ]

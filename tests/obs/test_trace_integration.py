@@ -16,7 +16,7 @@ from repro.dse.ga import Explorer, ExplorerConfig
 from repro.obs.trace import tracer
 
 #: The structural skeleton compared across serial/parallel runs.  Spans
-#: below the memoized analysis layer (``analysis.transition``,
+#: below the memoized analysis layer (``analysis.transitions``,
 #: ``sched.*``) are excluded: evaluation *order* differs between serial
 #: and threaded runs, so cache hit/miss placement may differ even though
 #: every reported number is identical.
@@ -100,12 +100,16 @@ class TestSingleTree:
     def test_deep_attribution_present(self, problem):
         records, _result = _run_traced(problem)
         names = {r["span"] for r in records}
-        assert "analysis.transition" in names
+        assert "analysis.transitions" in names
         assert "eval.guarded" in names
         transition_attrs = [
-            r["attrs"] for r in records if r["span"] == "analysis.transition"
+            r["attrs"] for r in records if r["span"] == "analysis.transitions"
         ]
-        assert any("cache_hit" in attrs for attrs in transition_attrs)
+        assert transition_attrs
+        assert all(
+            attrs["rows"] + attrs["cache_hits"] == attrs["transitions"]
+            for attrs in transition_attrs
+        )
 
 
 class TestParallelShape:
