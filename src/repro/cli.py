@@ -27,7 +27,7 @@ Examples::
 
 Every command accepts the observability flags ``--log-level``,
 ``--progress``, ``--metrics-out PATH`` (JSON metrics + per-generation
-records) and ``--trace-out PATH`` (JSONL event + span trace); final
+records) and ``--trace-out PATH`` (JSONL span + event trace); final
 results go to stdout, telemetry to stderr/files.  A recorded trace is
 inspected offline with ``repro trace summarize <file>`` (per-phase
 self-time and critical path) or converted for Perfetto with
@@ -38,6 +38,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import List, Optional
 
 from repro.api import validate_dropped
 from repro.benchgen.tgff import generate_problem
@@ -46,15 +47,7 @@ from repro.errors import ReproError
 from repro.hardening.spec import HardeningPlan
 from repro.hardening.transform import harden
 from repro.model.serialization import load_system, save_system
-from repro.obs import events as obs_events
-from repro.obs.events import (
-    EarlyStopped,
-    GenerationCompleted,
-    JsonlTraceWriter,
-    InMemoryCollector,
-    ProgressLogger,
-    event_to_dict,
-)
+from repro.obs.export import JsonlSpanExporter
 from repro.obs.logging import configure as configure_logging
 from repro.obs.logging import get_logger
 from repro.obs.metrics import metrics
@@ -1225,19 +1218,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_metrics_report(args, collector: InMemoryCollector) -> None:
+#: Event kinds behind ``--metrics-out``'s lists and ``--progress``.
+_GENERATION = "generation-complete"
+_EARLY_STOP = "early-stop"
+
+
+def _progress_line(record: dict) -> Optional[str]:
+    """The ``--progress`` line for a generation or early-stop record."""
+    kind = record.get("event")
+    if kind not in (_GENERATION, _EARLY_STOP):
+        return None
+    fields = record["attrs"]
+    best = (
+        f"{fields['best_power']:.3f}"
+        if fields["best_power"] is not None
+        else "-"
+    )
+    if kind == _EARLY_STOP:
+        return (
+            f"[gen {fields['generation']:4d}] early stop after "
+            f"{fields['stagnation']} stagnant generation(s), "
+            f"best_power={best}"
+        )
+    return (
+        f"[gen {fields['generation']:4d}] "
+        f"archive={fields['archive_size']:3d} "
+        f"feasible={fields['feasible_in_archive']:3d} best_power={best} "
+        f"hv={fields['hypervolume']:.3f} "
+        f"cache_hit_rate={fields['cache_hit_rate']:.2f} "
+        f"({fields['wall_seconds'] * 1e3:.0f} ms)"
+    )
+
+
+def _print_progress(record: dict) -> None:
+    """Tracer sink behind ``--progress``: one stderr line per generation."""
+    line = _progress_line(record)
+    if line is not None:
+        sys.stderr.write(line + "\n")
+        sys.stderr.flush()
+
+
+def _write_metrics_report(args, records: List[dict]) -> None:
     """Assemble the ``--metrics-out`` JSON report."""
+
+    def entries(kind: str) -> List[dict]:
+        return [
+            {"event": kind, **record["attrs"]}
+            for record in records
+            if record["event"] == kind
+        ]
+
     metrics().write_json(
         args.metrics_out,
         extra={
             "command": args.command,
-            "generations": [
-                event_to_dict(e)
-                for e in collector.of_type(GenerationCompleted)
-            ],
-            "early_stop": [
-                event_to_dict(e) for e in collector.of_type(EarlyStopped)
-            ],
+            "generations": entries(_GENERATION),
+            "early_stop": entries(_EARLY_STOP),
         },
     )
     _LOG.info("wrote metrics report to %s", args.metrics_out)
@@ -1248,39 +1284,35 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     configure_logging(args.log_level)
-    bus = obs_events.bus()
 
-    subscribers = []
-    collector = InMemoryCollector()
-    trace_writer = None
-    if args.metrics_out:
-        # Per-command report: snapshot deltas, not process history.
-        metrics().reset()
-        bus.subscribe(GenerationCompleted, collector)
-        bus.subscribe(EarlyStopped, collector)
-        subscribers.append(collector)
-    if args.progress:
-        progress = ProgressLogger(stream=sys.stderr)
-        bus.subscribe(GenerationCompleted, progress)
-        bus.subscribe(EarlyStopped, progress)
-        subscribers.append(progress)
+    exporter = None
     if getattr(args, "trace_out", None):
         try:
-            trace_writer = JsonlTraceWriter(args.trace_out)
+            exporter = JsonlSpanExporter(args.trace_out)
         except OSError as error:
             print(f"error: cannot open trace file: {error}", file=sys.stderr)
             return 2
-        bus.subscribe_all(trace_writer)
-        subscribers.append(trace_writer)
-        # Events and spans interleave in one JSONL stream; the span
-        # records carry a "span" key, event records an "event" key.
-        tracer().enable(trace_writer.write_record)
+        # Spans and events share the one JSONL stream.
+        tracer().enable(exporter)
+    reported: List[dict] = []
+    if args.metrics_out:
+        # Per-command report: snapshot deltas, not process history.
+        metrics().reset()
+
+        def report(record: dict) -> None:
+            if record.get("event") in (_GENERATION, _EARLY_STOP):
+                reported.append(record)
+
+        tracer().add_sink(report)
+    if args.progress:
+        tracer().add_sink(_print_progress)
+    attached = exporter is not None or args.metrics_out or args.progress
 
     try:
         code = args.handler(args)
         if args.metrics_out:
             try:
-                _write_metrics_report(args, collector)
+                _write_metrics_report(args, reported)
             except OSError as error:
                 print(
                     f"error: cannot write metrics report: {error}",
@@ -1292,8 +1324,7 @@ def main(argv=None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     finally:
-        for subscriber in subscribers:
-            bus.unsubscribe(subscriber)
-        if trace_writer is not None:
+        if attached:
             tracer().reset()
-            trace_writer.close()
+        if exporter is not None:
+            exporter.close()

@@ -52,10 +52,8 @@ from repro.hardening.spec import HardeningKind
 from repro.hardening.transform import CriticalTrigger, HardenedSystem
 from repro.model.architecture import Architecture
 from repro.model.mapping import Mapping
-from repro.obs import events as obs_events
-from repro.obs.events import ScenarioAnalyzed
 from repro.obs.metrics import metrics
-from repro.obs.trace import annotate, span as trace_span
+from repro.obs.trace import annotate, event, span as trace_span
 from repro.comm import default_comm
 from repro.sched.comm import CommModel
 from repro.sched.jobs import JobSet, unroll
@@ -306,7 +304,6 @@ class MixedCriticalityAnalysis:
                 rows=len(kept) - hits,
             )
         transitions: List[TransitionInfo] = []
-        bus = obs_events.bus()
         for row, bounds in zip(kept, results):
             label = labels[row]
             wcrt = bounds.aggregate("graph_wcrt")[surviving_graph_at]
@@ -328,14 +325,12 @@ class MixedCriticalityAnalysis:
                     wcrt=dict(zip(surviving_names, wcrt.tolist())),
                 )
             )
-            if bus.wants(ScenarioAnalyzed):
-                bus.publish(
-                    ScenarioAnalyzed(
-                        trigger=label,
-                        granularity=self._granularity,
-                        sweeps=bounds.sweeps,
-                    )
-                )
+            event(
+                "scenario-analyzed",
+                trigger=label,
+                granularity=self._granularity,
+                sweeps=bounds.sweeps,
+            )
         registry.counter("analysis.transitions").inc(len(transitions))
         if pruner is not None:
             registry.counter("analysis.prune.skipped").inc(transitions_pruned)

@@ -24,10 +24,8 @@ from repro.core.power import PowerModel
 from repro.core.problem import DesignPoint, Problem
 from repro.errors import MappingError, ReproError
 from repro.hardening.transform import HardenedSystem, harden
-from repro.obs import events as obs_events
-from repro.obs.events import EvaluationCompleted
 from repro.obs.metrics import metrics
-from repro.obs.trace import span as trace_span
+from repro.obs.trace import event, span as trace_span
 from repro.reliability.constraints import check_reliability
 
 
@@ -116,17 +114,14 @@ class Evaluator:
             "eval.feasible" if result.feasible else "eval.infeasible"
         ).inc()
         registry.timer("eval.seconds").observe(seconds)
-        bus = obs_events.bus()
-        if bus.wants(EvaluationCompleted):
-            bus.publish(
-                EvaluationCompleted(
-                    feasible=result.feasible,
-                    power=result.power,
-                    service=result.service,
-                    violations=len(result.violations),
-                    seconds=seconds,
-                )
-            )
+        event(
+            "evaluation-done",
+            feasible=result.feasible,
+            power=result.power,
+            service=result.service,
+            violations=len(result.violations),
+            seconds=seconds,
+        )
         return result
 
     def _evaluate(self, design: DesignPoint) -> EvaluationResult:

@@ -37,11 +37,9 @@ from typing import Any, Optional
 from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.core.problem import DesignPoint, Problem
 from repro.errors import EvaluationGuardError
-from repro.obs import events as obs_events
-from repro.obs.events import BackendFellBack, EvaluationFailed
 from repro.obs.logging import get_logger, kv
 from repro.obs.metrics import metrics
-from repro.obs.trace import span as trace_span
+from repro.obs.trace import event, span as trace_span
 
 _LOG = get_logger("guard")
 
@@ -275,17 +273,12 @@ class GuardedEvaluator:
             fallback_result = replace(
                 fallback_result, fallback=FALLBACK_BACKEND
             )
-            bus = obs_events.bus()
-            if bus.wants(BackendFellBack):
-                bus.publish(
-                    BackendFellBack(
-                        reason="error" if error is not None else "budget",
-                        error_type=(
-                            type(error).__name__ if error is not None else None
-                        ),
-                        seconds=elapsed,
-                    )
-                )
+            event(
+                "backend-fallback",
+                reason="error" if error is not None else "budget",
+                error_type=type(error).__name__ if error is not None else None,
+                seconds=elapsed,
+            )
             if error is not None:
                 self._note_failure(
                     error,
@@ -383,18 +376,15 @@ class GuardedEvaluator:
             quarantined = self._quarantine.active
             if quarantined:
                 metrics().counter("eval.guard.quarantined").inc()
-        bus = obs_events.bus()
-        if bus.wants(EvaluationFailed):
-            bus.publish(
-                EvaluationFailed(
-                    stage=stage,
-                    error_type=type(error).__name__,
-                    error=str(error),
-                    attempts=attempts,
-                    fallback_used=fallback_used,
-                    quarantined=quarantined,
-                )
-            )
+        event(
+            "evaluation-failed",
+            stage=stage,
+            error_type=type(error).__name__,
+            error=str(error),
+            attempts=attempts,
+            fallback_used=fallback_used,
+            quarantined=quarantined,
+        )
         _LOG.warning(
             "evaluation failed %s",
             kv(

@@ -39,11 +39,9 @@ from repro.model.serialization import (
     application_set_to_dict,
     architecture_to_dict,
 )
-from repro.obs import events as obs_events
-from repro.obs.events import CheckpointWritten
 from repro.obs.logging import get_logger, kv
 from repro.obs.metrics import metrics
-from repro.obs.trace import span as trace_span
+from repro.obs.trace import event, span as trace_span
 
 _LOG = get_logger("checkpoint")
 
@@ -276,10 +274,6 @@ class CheckpointManager:
             if p.is_file()
         )
 
-    def latest_generation(self) -> Optional[int]:
-        """Generation of the newest committed snapshot, without loading it."""
-        return latest_snapshot_generation(self._directory)
-
     def save(self, snapshot: RunSnapshot) -> Path:
         """Atomically commit one snapshot; returns its path."""
         started = time.perf_counter()
@@ -305,16 +299,13 @@ class CheckpointManager:
         size = target.stat().st_size
         metrics().counter("dse.checkpoints").inc()
         metrics().timer("dse.checkpoint_seconds").observe(seconds)
-        bus = obs_events.bus()
-        if bus.wants(CheckpointWritten):
-            bus.publish(
-                CheckpointWritten(
-                    generation=snapshot.generation,
-                    path=str(target),
-                    size_bytes=size,
-                    seconds=seconds,
-                )
-            )
+        event(
+            "checkpoint-written",
+            generation=snapshot.generation,
+            path=str(target),
+            size_bytes=size,
+            seconds=seconds,
+        )
         _LOG.info(
             "checkpoint written %s",
             kv(

@@ -25,14 +25,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.core.guard import GuardConfig, GuardedEvaluator, QuarantineLog
 from repro.core.problem import Problem
-from repro.obs import events as obs_events
-from repro.obs.events import (
-    ArchiveUpdated,
-    EarlyStopped,
-    GenerationCompleted,
-    RunInterrupted,
-    RunResumed,
-)
 from repro.obs.logging import get_logger, kv
 from repro.obs.metrics import metrics
 from repro.obs.trace import (
@@ -40,6 +32,8 @@ from repro.obs.trace import (
     activate,
     annotate,
     capture_context,
+    event,
+    listening,
     span as trace_span,
 )
 from repro.dse.checkpoint import (
@@ -345,7 +339,6 @@ class Explorer:
                 config.checkpoint_dir, problem_digest(self._problem)
             )
 
-        bus = obs_events.bus()
         archive: List[Chromosome] = []
         history: List[Tuple[int, Optional[float], int]] = []
         best_power: Optional[float] = None
@@ -379,14 +372,12 @@ class Explorer:
                     self._trace_ctx = restored_ctx
                 else:
                     annotate(resumed_trace_id=restored_ctx.trace_id)
-            if bus.wants(RunResumed):
-                bus.publish(
-                    RunResumed(
-                        generation=snapshot.generation,
-                        path=str(snapshot_path),
-                        cache_entries=len(self._cache),
-                    )
-                )
+            event(
+                "run-resumed",
+                generation=snapshot.generation,
+                path=str(snapshot_path),
+                cache_entries=len(self._cache),
+            )
             _LOG.info(
                 "resumed from checkpoint %s",
                 kv(
@@ -464,34 +455,24 @@ class Explorer:
                     generation_started = now
                     generation_counter.inc()
                     generation_timer.observe(wall_seconds)
-                    if bus.wants(GenerationCompleted):
-                        bus.publish(
-                            GenerationCompleted(
-                                generation=generation,
-                                archive_size=len(archive),
-                                feasible_in_archive=len(feasible_in_archive),
-                                best_power=generation_best,
-                                hypervolume=_hypervolume_proxy(
-                                    [
-                                        (r.power, r.service)
-                                        for r in feasible_in_archive
-                                    ]
-                                ),
-                                evaluations=self._stats.evaluations,
-                                cache_hits=self._stats.cache_hits,
-                                cache_hit_rate=self._stats.cache_hit_rate,
-                                repair_failures=self._stats.repair_failures,
-                                wall_seconds=wall_seconds,
-                            )
-                        )
-                    if bus.wants(ArchiveUpdated):
-                        bus.publish(
-                            ArchiveUpdated(
-                                generation=generation,
-                                size=len(archive),
-                                feasible=len(feasible_in_archive),
-                                improved=improved,
-                            )
+                    if listening():
+                        event(
+                            "generation-complete",
+                            generation=generation,
+                            archive_size=len(archive),
+                            feasible_in_archive=len(feasible_in_archive),
+                            best_power=generation_best,
+                            hypervolume=_hypervolume_proxy(
+                                [
+                                    (r.power, r.service)
+                                    for r in feasible_in_archive
+                                ]
+                            ),
+                            evaluations=self._stats.evaluations,
+                            cache_hits=self._stats.cache_hits,
+                            cache_hit_rate=self._stats.cache_hit_rate,
+                            repair_failures=self._stats.repair_failures,
+                            wall_seconds=wall_seconds,
                         )
                     _LOG.debug(
                         "generation done %s",
@@ -516,12 +497,11 @@ class Explorer:
                         self._stats.stopped_early = True
                         self._stats.stopping_generation = generation
                         registry.counter("dse.early_stops").inc()
-                        bus.publish(
-                            EarlyStopped(
-                                generation=generation,
-                                stagnation=stagnation,
-                                best_power=best_power,
-                            )
+                        event(
+                            "early-stop",
+                            generation=generation,
+                            stagnation=stagnation,
+                            best_power=best_power,
                         )
                         _LOG.info(
                             "early stop %s",
@@ -596,13 +576,11 @@ class Explorer:
                     checkpoint_path = str(
                         manager.path_for(boundary.generation)
                     )
-            if bus.wants(RunInterrupted):
-                bus.publish(
-                    RunInterrupted(
-                        generation=generation,
-                        checkpoint_path=checkpoint_path,
-                    )
-                )
+            event(
+                "run-interrupted",
+                generation=generation,
+                checkpoint_path=checkpoint_path,
+            )
             _LOG.warning(
                 "run interrupted %s",
                 kv(generation=generation, checkpoint=checkpoint_path),

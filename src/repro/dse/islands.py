@@ -66,11 +66,9 @@ from repro.dse.results import (
 )
 from repro.dse.spea2 import Spea2Selector, pareto_filter
 from repro.errors import ExplorationError
-from repro.obs import events as obs_events
-from repro.obs.events import IslandEpochCompleted, MigrationCompleted
 from repro.obs.logging import get_logger, kv
 from repro.obs.metrics import metrics
-from repro.obs.trace import SpanContext, activate, capture_context
+from repro.obs.trace import SpanContext, activate, capture_context, event
 from repro.obs.trace import span as trace_span
 
 __all__ = [
@@ -693,16 +691,13 @@ class _Coordinator:
     def _epoch_done(self, index: int, stop: int, seconds: float) -> None:
         metrics().counter("dse.islands.epochs").inc()
         metrics().timer("dse.islands.epoch_seconds").observe(seconds)
-        bus = obs_events.bus()
-        if bus.wants(IslandEpochCompleted):
-            bus.publish(
-                IslandEpochCompleted(
-                    island=index,
-                    barrier=stop,
-                    execution=self._execution,
-                    seconds=seconds,
-                )
-            )
+        event(
+            "island-epoch",
+            island=index,
+            barrier=stop,
+            execution=self._execution,
+            seconds=seconds,
+        )
 
     # -- the run ------------------------------------------------------
 
@@ -739,16 +734,13 @@ class _Coordinator:
                         )
                     self._write_journal(stop)
                     metrics().counter("dse.islands.migrants").inc(moved)
-                    bus = obs_events.bus()
-                    if bus.wants(MigrationCompleted):
-                        bus.publish(
-                            MigrationCompleted(
-                                barrier=stop,
-                                islands=topology.islands,
-                                migrants=moved,
-                                topology=topology.kind,
-                            )
-                        )
+                    event(
+                        "island-migration",
+                        barrier=stop,
+                        islands=topology.islands,
+                        migrants=moved,
+                        topology=topology.kind,
+                    )
                     _LOG.info(
                         "migration applied %s",
                         kv(

@@ -1,39 +1,20 @@
-"""Observability: metrics, typed events, structured logging, span traces.
+"""Observability: metrics, structured logging, spans and events.
 
-The four pillars (see ``docs/observability.md`` for the full schema):
+Three pieces (see ``docs/observability.md`` for the full schema):
 
 * :mod:`repro.obs.metrics` — process-wide counters, gauges, timers and
   fixed-bucket histograms with JSON/JSONL export; near-zero overhead
   when disabled.
-* :mod:`repro.obs.events` — a typed event bus carrying run telemetry
-  (generation-complete, evaluation-done, scenario-analyzed,
-  fault-injected, deadline-miss, archive-updated, early-stop) with
-  pluggable subscribers.
 * :mod:`repro.obs.logging` — the ``repro.*`` structured logger
   hierarchy.
-* :mod:`repro.obs.trace` / :mod:`repro.obs.export` — hierarchical
-  spans with cross-thread and cross-process context propagation, JSONL
-  and Chrome trace-event exporters, and per-phase self-time summaries.
+* :mod:`repro.obs.trace` / :mod:`repro.obs.export` — one record stream:
+  hierarchical spans and point events (generation-complete,
+  evaluation-done, scenario-analyzed, fault-injected, …) fanned out to
+  the tracer's sinks, with cross-thread and cross-process context
+  propagation, a JSONL exporter, a Chrome trace-event exporter and
+  per-phase self-time summaries.
 """
 
-from repro.obs.events import (
-    ArchiveUpdated,
-    DeadlineMissed,
-    EarlyStopped,
-    Event,
-    EventBus,
-    EvaluationCompleted,
-    FaultInjected,
-    GenerationCompleted,
-    InMemoryCollector,
-    JsonlTraceWriter,
-    ProgressLogger,
-    ScenarioAnalyzed,
-    bus,
-    capture,
-    event_from_dict,
-    event_to_dict,
-)
 from repro.obs.export import (
     JsonlSpanExporter,
     format_summary,
@@ -57,49 +38,39 @@ from repro.obs.trace import (
     SpanContext,
     Tracer,
     activate,
+    capture,
     capture_context,
     current_context,
+    event,
     from_traceparent,
+    listening,
     span,
     to_traceparent,
     tracer,
 )
 
 __all__ = [
-    "ArchiveUpdated",
     "Counter",
-    "DeadlineMissed",
-    "EarlyStopped",
-    "EvaluationCompleted",
-    "Event",
-    "EventBus",
-    "FaultInjected",
     "Gauge",
-    "GenerationCompleted",
     "Histogram",
-    "InMemoryCollector",
     "JsonlSpanExporter",
-    "JsonlTraceWriter",
     "MetricError",
     "MetricsRegistry",
-    "ProgressLogger",
-    "ScenarioAnalyzed",
     "Span",
     "SpanContext",
     "Timer",
     "Tracer",
     "activate",
-    "bus",
     "capture",
     "capture_context",
     "configure",
     "current_context",
-    "event_from_dict",
-    "event_to_dict",
+    "event",
     "format_summary",
     "from_traceparent",
     "get_logger",
     "kv",
+    "listening",
     "metrics",
     "read_spans",
     "span",

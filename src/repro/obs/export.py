@@ -1,10 +1,10 @@
-"""Span exporters and trace post-processing.
+"""Trace exporters and post-processing.
 
-Three consumers of the span records produced by :mod:`repro.obs.trace`:
+Three consumers of the records produced by :mod:`repro.obs.trace`:
 
-* :class:`JsonlSpanExporter` — appends one JSON line per finished span
-  (records carry a ``"span"`` key, so they interleave with event
-  records in one file);
+* :class:`JsonlSpanExporter` — appends one JSON line per record, span
+  or event (span records carry a ``"span"`` key, event records an
+  ``"event"`` key);
 * :func:`spans_to_chrome` / :func:`write_chrome_trace` — the Chrome
   trace-event JSON format, loadable in Perfetto
   (https://ui.perfetto.dev) or ``chrome://tracing``;
@@ -16,7 +16,8 @@ Three consumers of the span records produced by :mod:`repro.obs.trace`:
 direct children — the time attributable to that phase itself rather
 than to anything it delegated to.  Summed over a (serial) span tree,
 self times reconstruct the root duration exactly, which is what makes
-the per-phase table a faithful decomposition.
+the per-phase table a faithful decomposition.  The span functions
+ignore event records, so they accept a sink's whole record list.
 """
 
 import json
@@ -37,7 +38,13 @@ __all__ = [
 
 
 class JsonlSpanExporter:
-    """Thread-safe sink appending one JSON line per span record."""
+    """Tracer sink appending one JSON line per span or event record.
+
+    Thread-safe: serialization happens outside the lock, but the write
+    *and* the flush of each line hold one lock together, so concurrent
+    emitters (the GA's evaluation threads) never interleave partial
+    lines.  A record that arrives after :meth:`close` is dropped.
+    """
 
     def __init__(self, path_or_handle):
         if hasattr(path_or_handle, "write"):
@@ -47,17 +54,22 @@ class JsonlSpanExporter:
             self._handle = open(path_or_handle, "w")
             self._owns = True
         self._lock = threading.Lock()
+        self._closed = False
 
     def __call__(self, record: dict) -> None:
         line = json.dumps(record, sort_keys=True)
         with self._lock:
+            if self._closed:
+                return
             self._handle.write(line + "\n")
             self._handle.flush()
 
     def close(self) -> None:
         with self._lock:
-            if self._owns and not self._handle.closed:
-                self._handle.flush()
+            if self._closed:
+                return
+            self._closed = True
+            if self._owns:
                 self._handle.close()
 
     def __enter__(self):
@@ -87,6 +99,10 @@ def read_spans(path) -> List[dict]:
     return spans
 
 
+def _only_spans(records: Iterable[dict]) -> List[dict]:
+    return [record for record in records if "span" in record]
+
+
 # ---------------------------------------------------------------------------
 # Chrome trace-event export
 # ---------------------------------------------------------------------------
@@ -101,7 +117,7 @@ def spans_to_chrome(spans: Iterable[dict]) -> dict:
     """
     events: List[dict] = []
     tids: Dict[str, int] = {}
-    for record in spans:
+    for record in _only_spans(spans):
         thread = str(record.get("thread", "main"))
         tid = tids.setdefault(thread, len(tids) + 1)
         args = {
@@ -181,7 +197,7 @@ def child_coverage(spans: List[dict], root: dict) -> float:
         return 0.0
     covered = sum(
         record.get("duration_us", 0)
-        for record in spans
+        for record in _only_spans(spans)
         if record.get("parent_id") == root.get("span_id")
     )
     return min(1.0, covered / duration)
@@ -189,6 +205,7 @@ def child_coverage(spans: List[dict], root: dict) -> float:
 
 def summarize(spans: List[dict]) -> TraceSummary:
     """Per-phase self-time table plus critical path for ``spans``."""
+    spans = _only_spans(spans)
     if not spans:
         return TraceSummary([], [], None, 0, 0)
 

@@ -1,18 +1,22 @@
-"""Hierarchical span tracing with cross-process propagation.
+"""Hierarchical span tracing, point events and cross-process propagation.
 
 Spans answer *where* the time went: a run produces a tree of named,
 monotonic-clock-timed sections (``api.explore`` → ``ga.generation`` →
 ``eval.guarded`` → ``sched.holistic`` → …) with typed attributes
 attached at the point where the information exists (cache hits,
 transitions pruned, warm-start outcomes, generation index, batch size,
-queue wait).  Design constraints mirror :mod:`repro.obs.metrics`:
+queue wait).  Events answer *what happened*: :func:`event` hands every
+sink a point record (a finished generation, a backend fallback, a
+simulated fault) parented on the calling thread's current span.
+Design constraints mirror :mod:`repro.obs.metrics`:
 
 * **near-zero overhead when disabled** — :func:`span` checks one flag
-  and returns a shared no-op context manager; no IDs are drawn, no
-  dicts are built, nothing is locked;
+  and returns a shared no-op context manager; :func:`event` checks
+  whether any sink is attached; no IDs are drawn, no dicts are built,
+  nothing is locked;
 * **cheap when enabled** — starting a span draws 8 random bytes and
   pushes onto a thread-local stack; finishing one builds a small dict
-  and hands it to the configured sinks under one lock;
+  and hands it to the sinks, read as an immutable tuple without a lock;
 * **propagation is explicit** — :func:`capture_context` /
   :func:`activate` carry the current span across
   ``ThreadPoolExecutor`` workers, :func:`to_traceparent` /
@@ -21,17 +25,21 @@ queue wait).  Design constraints mirror :mod:`repro.obs.metrics`:
   :meth:`SpanContext.from_dict` carry it through explore checkpoints so
   a resumed job continues the same trace.
 
-Span records are plain dicts (see :data:`SPAN_SCHEMA_FIELDS`) so any
-sink — the shared JSONL writer, an in-memory collector, the Chrome
-trace exporter in :mod:`repro.obs.export` — consumes the same shape.
-Records carry a ``"span"`` key where event records carry ``"event"``,
-so both interleave safely in one JSONL stream.
+Every attached sink receives events; spans additionally need
+:meth:`Tracer.enable`.  So ``--progress`` and ``--metrics-out`` attach
+a sink and pay nothing for spans, while ``--trace-out`` turns both on.
+Records are plain dicts (see :data:`SPAN_SCHEMA_FIELDS` and
+:data:`EVENT_SCHEMA_FIELDS`) so any sink — the JSONL exporter, an
+in-memory list, the Chrome trace exporter in :mod:`repro.obs.export` —
+consumes the same shape.  Span records carry a ``"span"`` key where
+event records carry ``"event"``, so both interleave in one stream.
 """
 
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Span",
@@ -39,9 +47,12 @@ __all__ = [
     "Tracer",
     "activate",
     "annotate",
+    "capture",
     "capture_context",
     "current_context",
+    "event",
     "from_traceparent",
+    "listening",
     "span",
     "to_traceparent",
     "tracer",
@@ -59,6 +70,11 @@ SPAN_SCHEMA_FIELDS = (
     "span", "trace_id", "span_id", "parent_id",
     "start_us", "duration_us", "thread", "attrs",
 )
+#: Keys present in every event record: a point in time, so no
+#: ``span_id`` and no ``duration_us``.
+EVENT_SCHEMA_FIELDS = (
+    "event", "trace_id", "parent_id", "start_us", "thread", "attrs",
+)
 
 # Wall-clock anchor for the process: span timestamps are monotonic
 # offsets from this pair, so records from one process share a timeline
@@ -66,7 +82,7 @@ SPAN_SCHEMA_FIELDS = (
 _EPOCH_MONOTONIC = time.monotonic()
 _EPOCH_WALL = time.time()
 
-SpanSink = Callable[[dict], None]
+Sink = Callable[[dict], None]
 
 
 def _new_id(nbytes: int) -> str:
@@ -230,11 +246,16 @@ class _Activation:
 
 
 class Tracer:
-    """Creates spans, tracks per-thread context, fans out to sinks."""
+    """Creates spans and events, tracks per-thread context, fans out to sinks.
+
+    The sink list is an immutable tuple swapped under the lock, so
+    emitters (the GA's evaluation threads) read it without locking and
+    never block each other.
+    """
 
     def __init__(self, enabled: bool = False):
         self._enabled = enabled
-        self._sinks: List[SpanSink] = []
+        self._sinks: Tuple[Sink, ...] = ()
         self._lock = threading.Lock()
         self._local = threading.local()
 
@@ -245,7 +266,7 @@ class Tracer:
         """Whether :func:`span` produces real spans."""
         return self._enabled
 
-    def enable(self, sink: Optional[SpanSink] = None) -> None:
+    def enable(self, sink: Optional[Sink] = None) -> None:
         """Turn tracing on, optionally adding ``sink`` first."""
         if sink is not None:
             self.add_sink(sink)
@@ -255,22 +276,22 @@ class Tracer:
         """Turn every span call into a shared no-op."""
         self._enabled = False
 
-    def add_sink(self, sink: SpanSink) -> None:
-        """Register a callable receiving each finished span record."""
+    def add_sink(self, sink: Sink) -> None:
+        """Register a callable receiving each event and finished span."""
         with self._lock:
             if sink not in self._sinks:
-                self._sinks.append(sink)
+                self._sinks = self._sinks + (sink,)
 
-    def remove_sink(self, sink: SpanSink) -> None:
+    def remove_sink(self, sink: Sink) -> None:
+        """Detach ``sink`` (idempotent)."""
         with self._lock:
-            if sink in self._sinks:
-                self._sinks.remove(sink)
+            self._sinks = tuple(s for s in self._sinks if s != sink)
 
     def reset(self) -> None:
         """Disable, drop every sink, forget all thread contexts."""
         self._enabled = False
         with self._lock:
-            self._sinks.clear()
+            self._sinks = ()
         self._local = threading.local()
 
     # -- per-thread context ----------------------------------------------
@@ -330,8 +351,23 @@ class Tracer:
             "thread": threading.current_thread().name,
             "attrs": span_._attrs,
         }
-        with self._lock:
-            sinks = list(self._sinks)
+        for sink in self._sinks:
+            sink(record)
+
+    def emit(self, kind: str, fields: dict) -> None:
+        """Hand every sink a point record parented on the current span."""
+        sinks = self._sinks
+        if not sinks:
+            return
+        parent = self.current_context()
+        record = {
+            "event": kind,
+            "trace_id": parent.trace_id if parent is not None else None,
+            "parent_id": parent.span_id if parent is not None else None,
+            "start_us": int((time.monotonic() - _EPOCH_MONOTONIC) * 1e6),
+            "thread": threading.current_thread().name,
+            "attrs": fields,
+        }
         for sink in sinks:
             sink(record)
 
@@ -374,9 +410,9 @@ def from_traceparent(header: Optional[str]) -> Optional[SpanContext]:
 # module-level conveniences over the process-wide tracer
 # ---------------------------------------------------------------------------
 
-#: The process-wide tracer every repro subsystem records into.  Off by
-#: default: ``--trace-out`` (CLI) or ``ServeConfig.trace_out`` turn it
-#: on with a sink attached.
+#: The process-wide tracer every repro subsystem records into.  Spans
+#: are off by default: ``--trace-out`` (CLI) turns them on with a JSONL
+#: sink; a server traces once its process enables this tracer.
 _GLOBAL = Tracer(enabled=False)
 
 
@@ -425,3 +461,42 @@ def capture_context() -> Optional[SpanContext]:
 def activate(context: Optional[SpanContext]):
     """``with activate(ctx): ...`` — parent new spans on ``ctx``."""
     return _GLOBAL.activate(context)
+
+
+def event(kind: str, **fields: Any) -> None:
+    """Emit one ``kind`` point record to every sink on the global tracer.
+
+    Costs one check when no sink is attached.  Guard fields that take
+    work to compute with :func:`listening`.
+    """
+    if _GLOBAL._sinks:
+        _GLOBAL.emit(kind, fields)
+
+
+def listening() -> bool:
+    """Whether any sink is attached (and so would receive an event)."""
+    return bool(_GLOBAL._sinks)
+
+
+@contextmanager
+def capture(*kinds: str) -> Iterator[List[dict]]:
+    """Collect the event records of ``kinds`` (or of every kind).
+
+    >>> with capture("generation-complete") as records:
+    ...     ...
+    >>> [r["attrs"]["generation"] for r in records]  # doctest: +SKIP
+
+    The sink detaches when the block exits.
+    """
+    records: List[dict] = []
+
+    def sink(record: dict) -> None:
+        kind = record.get("event")
+        if kind is not None and (not kinds or kind in kinds):
+            records.append(record)
+
+    _GLOBAL.add_sink(sink)
+    try:
+        yield records
+    finally:
+        _GLOBAL.remove_sink(sink)

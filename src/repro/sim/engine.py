@@ -31,9 +31,8 @@ from repro.errors import SimulationError
 from repro.hardening.transform import HardenedSystem
 from repro.model.architecture import Architecture
 from repro.model.mapping import Mapping
-from repro.obs import events as obs_events
-from repro.obs.events import DeadlineMissed, FaultInjected
 from repro.obs.metrics import metrics
+from repro.obs.trace import event
 from repro.sched.comm import CommModel
 from repro.sched.jobs import JobSet, unroll
 from repro.sched.priority import assign_priorities
@@ -339,16 +338,13 @@ class _RunState:
         faulty = self.profile.is_faulty(task_name, job.instance, self.attempt[index])
         if faulty:
             self.faults_observed += 1
-            bus = obs_events.bus()
-            if bus.wants(FaultInjected):
-                bus.publish(
-                    FaultInjected(
-                        time=time,
-                        task=task_name,
-                        instance=job.instance,
-                        attempt=self.attempt[index],
-                    )
-                )
+            event(
+                "fault-injected",
+                time=time,
+                task=task_name,
+                instance=job.instance,
+                attempt=self.attempt[index],
+            )
 
         if self.sim._hardened.is_time_redundant(task_name) and faulty:
             self.record(time, "fault", index)
@@ -686,20 +682,17 @@ class _RunState:
         registry.counter("sim.jobs_dropped").inc(
             sum(1 for status in self.status if status == _DROPPED)
         )
-        bus = obs_events.bus()
         misses = [o for o in ordered if o.met_deadline is False]
         if misses:
             registry.counter("sim.deadline_misses").inc(len(misses))
-            if bus.wants(DeadlineMissed):
-                for outcome in misses:
-                    bus.publish(
-                        DeadlineMissed(
-                            graph=outcome.graph,
-                            instance=outcome.instance,
-                            response=outcome.response_time,
-                            deadline=outcome.deadline,
-                        )
-                    )
+            for outcome in misses:
+                event(
+                    "deadline-miss",
+                    graph=outcome.graph,
+                    instance=outcome.instance,
+                    response=outcome.response_time,
+                    deadline=outcome.deadline,
+                )
         return SimulationResult(
             outcomes=ordered,
             trace=self.trace,

@@ -1,11 +1,9 @@
 """Shared helpers for the benchmark suites."""
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.core.problem import Problem
-from repro.hardening.transform import HardenedSystem
-from repro.model.mapping import Mapping
 
 
 @dataclass(frozen=True)
@@ -29,33 +27,3 @@ class Benchmark:
     description: str
     critical_apps: Tuple[str, ...] = ()
 
-
-def round_robin_mapping(
-    hardened: HardenedSystem,
-    processors: Tuple[str, ...],
-    offset: int = 0,
-) -> Mapping:
-    """Deterministic round-robin placement of all ``T'`` tasks.
-
-    Replica co-location is avoided greedily: when the next processor in
-    rotation already hosts a copy of the same primary task, the following
-    ones are tried first.
-    """
-    assignment: Dict[str, str] = {}
-    copies_of: Dict[str, set] = {}
-    index = offset
-    for task in hardened.applications.all_tasks:
-        primary = hardened.derived_to_primary[task.name]
-        used = copies_of.setdefault(primary, set())
-        chosen = None
-        for step in range(len(processors)):
-            candidate = processors[(index + step) % len(processors)]
-            if candidate not in used:
-                chosen = candidate
-                break
-        if chosen is None:
-            chosen = processors[index % len(processors)]
-        assignment[task.name] = chosen
-        used.add(chosen)
-        index += 1
-    return Mapping(assignment)

@@ -30,10 +30,9 @@ from repro.core.problem import Problem
 from repro.errors import ReproError
 from repro.hardening.spec import HardeningPlan
 from repro.model.serialization import SystemBundle
-from repro.obs import events as obs_events
-from repro.obs.events import VerificationCompleted, ViolationFound
 from repro.obs.logging import get_logger, kv
 from repro.obs.metrics import metrics
+from repro.obs.trace import event
 from repro.sched.wcrt import SchedBackend
 from repro.sim.faults import FaultProfile
 from repro.verify import metamorphic as meta_checks
@@ -332,18 +331,15 @@ def run_campaign(
         _shrink_and_persist(config, report, findings)
 
     registry.counter("verify.violations").inc(len(report.violations))
-    bus = obs_events.bus()
-    if bus.wants(VerificationCompleted):
-        bus.publish(
-            VerificationCompleted(
-                label=label,
-                scenarios=len(report.scenarios),
-                checks=report.checks,
-                violations=len(report.violations),
-                shrink_steps=report.shrink_steps,
-                reproducers=len(report.reproducers),
-            )
-        )
+    event(
+        "verify-complete",
+        label=label,
+        scenarios=len(report.scenarios),
+        checks=report.checks,
+        violations=len(report.violations),
+        shrink_steps=report.shrink_steps,
+        reproducers=len(report.reproducers),
+    )
     _LOG.info(
         "campaign finished %s",
         kv(
@@ -367,18 +363,14 @@ def _record_violation(
 ) -> None:
     report.violations.append(violation.to_dict())
     metrics().counter("verify.violations.found").inc()
-    bus = obs_events.bus()
-    if bus.wants(ViolationFound):
-        scenario = violation.scenario or {}
-        bus.publish(
-            ViolationFound(
-                oracle=violation.oracle,
-                subject=violation.subject,
-                expected=violation.expected,
-                actual=violation.actual,
-                scenario=scenario.get("name"),
-            )
-        )
+    event(
+        "verify-violation",
+        oracle=violation.oracle,
+        subject=violation.subject,
+        expected=violation.expected,
+        actual=violation.actual,
+        scenario=(violation.scenario or {}).get("name"),
+    )
 
 
 def _comm_active(state: SystemState) -> bool:

@@ -13,7 +13,7 @@ from repro.core.guard import (
 )
 from repro.dse.chromosome import random_chromosome
 from repro.errors import EvaluationGuardError
-from repro.obs.events import BackendFellBack, EvaluationFailed, capture
+from repro.obs.trace import capture
 
 import random
 
@@ -111,7 +111,7 @@ class TestGuardedEvaluator:
     def test_fallback_rescues_raising_backend(self, problem):
         design = make_design(problem)
         guarded = GuardedEvaluator(RaisingEvaluator(problem))
-        with capture(BackendFellBack) as events:
+        with capture("backend-fallback") as fell_back:
             result = guarded.evaluate(design)
         assert result.fallback == FALLBACK_BACKEND
         # The fast-window fallback is the default evaluator, so the
@@ -119,8 +119,7 @@ class TestGuardedEvaluator:
         plain = Evaluator(problem).evaluate(design)
         assert result.feasible == plain.feasible
         assert result.power == plain.power
-        fell_back = events.of_type(BackendFellBack)
-        assert fell_back and fell_back[0].reason == "error"
+        assert fell_back and fell_back[0]["attrs"]["reason"] == "error"
 
     def test_failure_becomes_infeasible_result(self, problem):
         design = make_design(problem)
@@ -128,14 +127,13 @@ class TestGuardedEvaluator:
             RaisingEvaluator(problem, exc=ValueError("bad state")),
             config=GuardConfig(retries=2, fallback=False),
         )
-        with capture(EvaluationFailed) as events:
+        with capture("evaluation-failed") as failed:
             result = guarded.evaluate(design)
         assert not result.feasible
         assert result.guard_error == "ValueError: bad state"
         assert any("guard[evaluate]" in v for v in result.violations)
-        failed = events.of_type(EvaluationFailed)
-        assert failed[0].attempts == 3
-        assert failed[0].error_type == "ValueError"
+        assert failed[0]["attrs"]["attempts"] == 3
+        assert failed[0]["attrs"]["error_type"] == "ValueError"
 
     def test_soft_budget_triggers_fallback(self, problem):
         design = make_design(problem)
@@ -151,10 +149,10 @@ class TestGuardedEvaluator:
             SlowEvaluator(problem),
             config=GuardConfig(soft_budget_seconds=1e-6),
         )
-        with capture(BackendFellBack) as events:
+        with capture("backend-fallback") as fell_back:
             result = guarded.evaluate(design)
         assert result.fallback == FALLBACK_BACKEND
-        assert events.of_type(BackendFellBack)[0].reason == "budget"
+        assert fell_back[0]["attrs"]["reason"] == "budget"
 
     def test_over_budget_without_fallback_keeps_primary_result(self, problem):
         design = make_design(problem)

@@ -7,13 +7,8 @@ import pytest
 from repro.cli import main
 from repro.dse.ga import Explorer, ExplorerConfig
 from repro.model.serialization import save_system
-from repro.obs.events import (
-    EarlyStopped,
-    FaultInjected,
-    GenerationCompleted,
-    capture,
-)
 from repro.obs.metrics import metrics
+from repro.obs.trace import capture
 
 
 def small_config(**overrides):
@@ -44,21 +39,23 @@ class TestGenerationEvents:
             generations=3,
             seed=1,
         )
-        with capture(GenerationCompleted) as collected:
+        with capture("generation-complete") as records:
             result = Explorer(cruise_problem, config).run()
-        events = collected.of_type(GenerationCompleted)
+        events = [record["attrs"] for record in records]
         # Generations 0..generations_run, one event each, in order.
-        assert [e.generation for e in events] == list(
+        assert [e["generation"] for e in events] == list(
             range(result.generations_run + 1)
         )
         last = events[-1]
         stats = result.statistics
-        assert last.evaluations == stats.evaluations
-        assert last.cache_hits == stats.cache_hits
-        assert last.cache_hit_rate == pytest.approx(stats.cache_hit_rate)
-        assert last.repair_failures == stats.repair_failures
-        assert all(e.wall_seconds >= 0.0 for e in events)
-        assert all(e.archive_size >= e.feasible_in_archive for e in events)
+        assert last["evaluations"] == stats.evaluations
+        assert last["cache_hits"] == stats.cache_hits
+        assert last["cache_hit_rate"] == pytest.approx(stats.cache_hit_rate)
+        assert last["repair_failures"] == stats.repair_failures
+        assert all(e["wall_seconds"] >= 0.0 for e in events)
+        assert all(
+            e["archive_size"] >= e["feasible_in_archive"] for e in events
+        )
 
     def test_sched_counters_advance(self, problem):
         registry = metrics()
@@ -88,16 +85,15 @@ class TestGenerationEvents:
 class TestEarlyStop:
     def test_early_stop_event_and_statistics(self, problem):
         config = small_config(generations=50, stagnation_limit=2)
-        with capture(EarlyStopped) as collected:
+        with capture("early-stop") as records:
             result = Explorer(problem, config).run()
         assert result.generations_run < 50
         stats = result.statistics
         assert stats.stopped_early is True
         assert stats.stopping_generation == result.generations_run
-        stops = collected.of_type(EarlyStopped)
-        assert len(stops) == 1
-        assert stops[0].generation == result.generations_run
-        assert stops[0].stagnation == 2
+        (stop,) = [record["attrs"] for record in records]
+        assert stop["generation"] == result.generations_run
+        assert stop["stagnation"] == 2
 
     def test_full_run_not_marked_early(self, problem):
         result = Explorer(problem, small_config(generations=2)).run()
@@ -114,9 +110,9 @@ class TestSimulatorEvents:
 
         simulator = Simulator(hardened, architecture, mapping)
         profile = random_profile(hardened, random.Random(3), max_faults=2)
-        with capture(FaultInjected) as collected:
+        with capture("fault-injected") as records:
             result = simulator.run(profile=profile, sampler=WorstCaseSampler())
-        assert len(collected.of_type(FaultInjected)) == result.faults_observed
+        assert len(records) == result.faults_observed
 
 
 class TestCliMetricsReport:

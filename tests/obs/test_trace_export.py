@@ -15,7 +15,7 @@ from repro.obs.export import (
     summarize,
     write_chrome_trace,
 )
-from repro.obs.trace import span, tracer
+from repro.obs.trace import event, span, tracer
 
 
 @pytest.fixture(autouse=True)
@@ -54,7 +54,9 @@ class TestJsonlRoundtrip:
     def test_event_lines_are_skipped(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text(
-            json.dumps({"event": "GenerationCompleted", "generation": 1})
+            json.dumps(
+                {"event": "generation-complete", "attrs": {"generation": 1}}
+            )
             + "\n"
             + json.dumps(_record("s", "a" * 16, None, 0, 10))
             + "\n\n"
@@ -179,6 +181,27 @@ class TestSummaries:
         spans = self._tree()
         assert child_coverage(spans, spans[0]) == pytest.approx(0.6)
         assert child_coverage(spans, spans[1]) == pytest.approx(40 / 60)
+
+    def test_event_records_are_ignored(self):
+        spans = self._tree()
+        records = []
+        tracer().add_sink(records.append)
+        event("early-stop", generation=1, stagnation=1, best_power=None)
+        events = records + [
+            dict(records[0], parent_id=span_["span_id"]) for span_ in spans
+        ]
+
+        def digest(summary):
+            return (
+                summary.phases, summary.critical_path, summary.root,
+                summary.total_us, summary.span_count,
+            )
+
+        assert digest(summarize(spans + events)) == digest(summarize(spans))
+        assert child_coverage(spans + events, spans[0]) == (
+            child_coverage(spans, spans[0])
+        )
+        assert spans_to_chrome(spans + events) == spans_to_chrome(spans)
 
     def test_empty_input(self):
         summary = summarize([])

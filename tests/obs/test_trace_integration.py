@@ -49,12 +49,20 @@ def _config(**overrides):
 
 
 def _run_traced(problem, **overrides):
+    """The span records of one traced run (event records dropped)."""
+    spans, _events, result = _run_traced_with_events(problem, **overrides)
+    return spans, result
+
+
+def _run_traced_with_events(problem, **overrides):
     records = []
     tracer().reset()
     tracer().enable(records.append)
     result = Explorer(problem, _config(**overrides)).run()
     tracer().reset()
-    return records, result
+    spans = [r for r in records if "span" in r]
+    events = [r for r in records if "event" in r]
+    return spans, events, result
 
 
 def _shape(records):
@@ -86,6 +94,28 @@ class TestSingleTree:
         generations = [r for r in records if r["span"] == "ga.generation"]
         assert len(generations) == result.generations_run + 1
         assert {r["parent_id"] for r in generations} == {root["span_id"]}
+
+    def test_events_hang_under_their_spans(self, problem):
+        spans, events, result = _run_traced_with_events(problem)
+        by_id = {r["span_id"]: r for r in spans}
+        generations = [
+            r for r in events if r["event"] == "generation-complete"
+        ]
+        assert len(generations) == result.generations_run + 1
+        for record in generations:
+            parent = by_id[record["parent_id"]]
+            assert parent["span"] == "ga.generation"
+            assert parent["attrs"]["generation"] == (
+                record["attrs"]["generation"]
+            )
+        evaluations = [r for r in events if r["event"] == "evaluation-done"]
+        assert evaluations
+        assert {by_id[r["parent_id"]]["span"] for r in evaluations} == {
+            "eval.guarded"
+        }
+        assert {r["trace_id"] for r in events} == {
+            r["trace_id"] for r in spans
+        }
 
     def test_child_self_times_cover_root(self, problem):
         from repro.obs.export import child_coverage

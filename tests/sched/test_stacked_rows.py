@@ -26,10 +26,8 @@ from repro.core.analysis import _TransitionPlan
 from repro.errors import AnalysisError
 from repro.hardening.spec import HardeningKind, HardeningPlan
 from repro.hardening.transform import harden
-from repro.obs import events as obs_events
-from repro.obs.events import InMemoryCollector, ScenarioAnalyzed
 from repro.obs.metrics import metrics
-from repro.obs.trace import tracer
+from repro.obs.trace import capture, tracer
 from repro.sched import wcrt
 from repro.sched.holistic import HolisticAnalysisBackend
 from repro.sched.wcrt import WindowAnalysisBackend, _Precomputed
@@ -322,10 +320,7 @@ class AnalyzeOnly:
 def _run(item, backend, fast_path, granularity="job"):
     registry = metrics()
     registry.reset()
-    collector = InMemoryCollector()
-    bus = obs_events.bus()
-    bus.subscribe(ScenarioAnalyzed, collector)
-    try:
+    with capture("scenario-analyzed") as records:
         bundle = item.bundle
         analysis = MixedCriticalityAnalysis(
             backend=backend, granularity=granularity, fast_path=fast_path
@@ -336,12 +331,10 @@ def _run(item, backend, fast_path, granularity="job"):
             bundle.mapping,
             item.dropped,
         )
-    finally:
-        bus.unsubscribe(collector)
     snapshot = registry.snapshot()
     counters = snapshot["counters"]
     assert snapshot["histograms"]["sched.sweeps"]["count"] == counters["sched.invocations"]
-    scenarios = [(event.trigger, event.sweeps) for event in collector.events]
+    scenarios = [(r["attrs"]["trigger"], r["attrs"]["sweeps"]) for r in records]
     tallies = {
         name: counters.get(name, 0)
         for name in (
@@ -410,15 +403,15 @@ def test_transitions_span_carries_the_stacked_phase():
         result = _run(item, WindowAnalysisBackend(), FastPathConfig())[0]
     finally:
         tracer().reset()
-    (phase,) = [r["attrs"] for r in records if r["span"] == "analysis.transitions"]
+    (phase,) = [r["attrs"] for r in records if r.get("span") == "analysis.transitions"]
     assert phase["transitions"] == len(result.transitions)
     assert phase["pruned"] == 0
     assert phase["rows"] + phase["cache_hits"] == phase["transitions"]
     assert phase["rows"] > 1
-    solves = [r["attrs"] for r in records if r["span"] == "sched.window.fixed_point"]
+    solves = [r["attrs"] for r in records if r.get("span") == "sched.window.fixed_point"]
     assert len(solves) == 1 + phase["chunks"]
     assert sum(attrs["rows"] for attrs in solves) == 1 + phase["rows"]
-    assert "analysis.transition" not in {r["span"] for r in records}
+    assert "analysis.transition" not in {r.get("span") for r in records}
 
 
 def test_a_converged_row_keeps_the_state_it_converged_at(monkeypatch):

@@ -40,7 +40,7 @@ class TestTracePropagation:
         assert client.last_trace_id is not None
         by_name = {}
         for record in sink:
-            by_name.setdefault(record["span"], []).append(record)
+            by_name.setdefault(record.get("span"), []).append(record)
         client_span = by_name["client.request"][0]
         serve_span = by_name["serve.request"][0]
         api_span = by_name["api.analyze"][0]
@@ -55,7 +55,7 @@ class TestTracePropagation:
 
     def test_pool_handoff_keeps_request_trace(self, client, bundle, sink):
         client.analyze(bundle)
-        analysis_spans = [r for r in sink if r["span"] == "analysis.run"]
+        analysis_spans = [r for r in sink if r.get("span") == "analysis.run"]
         assert analysis_spans, "analysis should run under tracing"
         assert {r["trace_id"] for r in analysis_spans} == {
             client.last_trace_id
@@ -66,9 +66,9 @@ class TestTracePropagation:
         submit_trace = client.last_trace_id
         record = client.wait_job(stub["id"], timeout=120.0)
         assert record["status"] == "done"
-        job_spans = [r for r in sink if r["span"] == "serve.job"]
+        job_spans = [r for r in sink if r.get("span") == "serve.job"]
         assert {r["trace_id"] for r in job_spans} == {submit_trace}
-        dse_spans = [r for r in sink if r["span"] == "dse.run"]
+        dse_spans = [r for r in sink if r.get("span") == "dse.run"]
         assert {r["trace_id"] for r in dse_spans} == {submit_trace}
 
     def test_tracing_off_means_no_header(self, client, bundle):
