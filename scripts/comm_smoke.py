@@ -4,8 +4,8 @@ Three contracts, all load-bearing for the comm backends:
 
 1. **Flat byte-identity** — on every built-in suite, analyzing with the
    default comm model, an explicit ``flat`` backend, and a hand-built
-   legacy :class:`CommModel` produces byte-identical result digests.
-   The ``flat`` backend *is* the legacy fabric; any drift is a bug.
+   zero-ARQ :class:`FlatBound` produces byte-identical result digests.
+   The ``flat`` backend *is* the paper's fabric; any drift is a bug.
 2. **Seeded verify campaign** — a full verification campaign on the
    comm-dominated synthetic family (shared-bus fabric, ARQ budget,
    round-robin scatter mapping) reports zero violations of the extended
@@ -27,11 +27,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.benchgen.tgff import comm_dominated_problem  # noqa: E402
-from repro.comm import COMM_BACKENDS, make_comm  # noqa: E402
+from repro.comm import COMM_BACKENDS, ArqPolicy, make_comm  # noqa: E402
+from repro.comm.flat import FlatBound  # noqa: E402
 from repro.core.factory import make_analysis  # noqa: E402
 from repro.errors import AnalysisError  # noqa: E402
 from repro.model.serialization import SystemBundle  # noqa: E402
-from repro.sched.comm import CommModel  # noqa: E402
 from repro.suites import benchmark_names, get_benchmark  # noqa: E402
 from repro.verify.campaign import (  # noqa: E402
     CampaignConfig,
@@ -71,10 +71,10 @@ def flat_identity_sweep() -> None:
         state = state_from_bundle(bundle, seed=0)
         reference = digest(state, None)
         explicit = digest(state, "flat")
-        legacy = digest(state, CommModel(state.architecture.interconnect))
+        built = FlatBound(state.architecture.interconnect, ArqPolicy())
         check(
-            reference == explicit == legacy,
-            f"{name}: flat backend byte-identical to the legacy model",
+            reference == explicit == digest(state, built),
+            f"{name}: flat backend byte-identical to a hand-built flat model",
         )
 
 

@@ -31,6 +31,7 @@ benchmark suite (``cruise``, ``dt-med``, ``dt-large``, ``synth-1``,
 from pathlib import Path
 from typing import Iterable, Optional, Tuple, Union
 
+from repro.comm import CommBackend
 from repro.core.analysis import MCAnalysisResult
 from repro.core.factory import make_analysis
 from repro.core.fastpath import FastPathConfig
@@ -41,7 +42,6 @@ from repro.model.application import ApplicationSet
 from repro.model.mapping import Mapping
 from repro.model.serialization import SystemBundle, load_system
 from repro.obs.trace import span
-from repro.sched.comm import CommModel
 from repro.sched.wcrt import SchedBackend
 
 __all__ = [
@@ -169,18 +169,18 @@ def analyze(
     plan: Optional[HardeningPlan] = None,
     mapping: Optional[Mapping] = None,
     policy: str = "fp",
-    comm: Union[CommModel, str, None] = None,
+    comm: Union[CommBackend, str, None] = None,
     comm_backend: Optional[str] = None,
     comm_arq: Optional[int] = None,
     comm_arq_timeout: Optional[float] = None,
-    fast_path: Union[FastPathConfig, bool, None] = None,
+    fast_path: Optional[FastPathConfig] = None,
 ) -> MCAnalysisResult:
     """WCRT analysis of a mapped system (the CLI ``analyze`` flow).
 
     ``plan``/``mapping`` default to the bundle's own; ``method`` is one
     of ``proposed``/``naive``/``adhoc`` and ``backend`` one of
-    ``window``/``fast``/``holistic`` (or a back-end instance), both
-    routed through :func:`repro.core.factory.make_analysis`.
+    :data:`repro.core.factory.SCHED_BACKENDS` (or a back-end instance),
+    both routed through :func:`repro.core.factory.make_analysis`.
 
     ``comm_backend``/``comm_arq``/``comm_arq_timeout`` rewrite the
     system's interconnect comm configuration before analysis (the CLI's

@@ -36,6 +36,7 @@ self-time and critical path) or converted for Perfetto with
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -43,6 +44,7 @@ from typing import List, Optional
 from repro.api import validate_dropped
 from repro.benchgen.tgff import generate_problem
 from repro.core import FastPathConfig, make_analysis
+from repro.core.factory import DEFAULT_BACKEND, SCHED_BACKENDS
 from repro.errors import ReproError
 from repro.hardening.spec import HardeningPlan
 from repro.hardening.transform import harden
@@ -102,19 +104,10 @@ def _add_comm_flags(parser) -> None:
 
 
 def _comm_overridden(architecture, args):
-    """Apply the ``--comm-backend``/``--comm-arq`` flags to the fabric.
-
-    The legacy ``--bus-contention`` flag stands for ``--comm-backend
-    bus-jobs`` (see :func:`repro.comm.legacy_bus_contention`).
-    """
+    """Apply the ``--comm-backend``/``--comm-arq`` flags to the fabric."""
     backend = getattr(args, "comm_backend", None)
     arq = getattr(args, "comm_arq", None)
     timeout = getattr(args, "comm_arq_timeout", None)
-    if getattr(args, "bus_contention", False):
-        from repro.comm import legacy_bus_contention
-
-        architecture = legacy_bus_contention(architecture, backend)
-        backend = None
     if backend is None and arq is None and timeout is None:
         return architecture
     from repro.comm import with_comm
@@ -128,12 +121,12 @@ def _cmd_analyze(args) -> int:
     hardened, architecture, mapping, dropped = _load_mapped_system(args)
     analysis = make_analysis(
         method=args.method,
-        backend=None if args.backend == "window" else args.backend,
+        backend=args.backend,
         granularity=args.granularity,
         policy=args.policy,
         # Memoization + warm starts change no reported number (prune
-        # stays off), so the fast path is on unless explicitly disabled.
-        fast_path=None if args.no_fast_path else FastPathConfig(),
+        # stays off), so the fast path is always on.
+        fast_path=FastPathConfig(),
     )
     result = analysis.analyze(hardened, architecture, mapping, dropped)
     print(f"{'application':>16} | {'wcrt':>10} | {'deadline':>9} | status")
@@ -567,11 +560,8 @@ def _cmd_submit_analyze(args) -> int:
         "granularity": args.granularity,
         "policy": args.policy,
         "method": args.method,
+        "backend": args.backend,
     }
-    if args.bus_contention:
-        params["bus_contention"] = True
-    if args.backend != "window":
-        params["backend"] = args.backend
     if args.dropped:
         params["dropped"] = args.dropped
     if args.deadline is not None:
@@ -756,17 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-processor scheduling policy",
     )
     analyze.add_argument(
-        "--bus-contention", action="store_true",
-        help="legacy spelling of --comm-backend bus-jobs (flat fabrics only)",
-    )
-    analyze.add_argument(
-        "--backend", choices=("window", "fast", "holistic"), default="window",
+        "--backend", choices=SCHED_BACKENDS, default=DEFAULT_BACKEND,
         help="schedulability back-end for the proposed analysis",
-    )
-    analyze.add_argument(
-        "--no-fast-path", action="store_true",
-        help="disable sched() memoization and warm-started fixed points "
-        "(results are identical either way)",
     )
     _add_comm_flags(analyze)
     analyze.set_defaults(handler=_cmd_analyze)
@@ -797,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--seed", type=int, default=0)
     explore.add_argument("--out", help="write Pareto designs to this JSON file")
     explore.add_argument(
-        "--backend", choices=("fast", "window", "holistic"), default="fast",
+        "--backend", choices=SCHED_BACKENDS, default=DEFAULT_BACKEND,
         help="schedulability back-end driving the evaluator",
     )
     explore.add_argument(
@@ -1116,12 +1097,7 @@ def build_parser() -> argparse.ArgumentParser:
     s_analyze.add_argument("--granularity", choices=("job", "task"), default="job")
     s_analyze.add_argument("--policy", choices=("fp", "edf"), default="fp")
     s_analyze.add_argument(
-        "--bus-contention", action="store_true",
-        help="legacy: the server runs the system under comm backend "
-        "bus-jobs (flat fabrics only)",
-    )
-    s_analyze.add_argument(
-        "--backend", choices=("window", "fast", "holistic"), default="window"
+        "--backend", choices=SCHED_BACKENDS, default=DEFAULT_BACKEND
     )
     s_analyze.add_argument(
         "--deadline", type=float, default=None,
@@ -1164,7 +1140,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--topology", choices=("ring", "all", "none"), default="ring"
     )
     s_explore.add_argument(
-        "--backend", choices=("fast", "window", "holistic"), default="fast"
+        "--backend", choices=SCHED_BACKENDS, default=DEFAULT_BACKEND
     )
     s_explore.add_argument(
         "--deadline", type=float, default=None,
@@ -1310,6 +1286,9 @@ def main(argv=None) -> int:
 
     try:
         code = args.handler(args)
+        # A reader that closed the pipe early surfaces here, not in the
+        # interpreter's final flush.
+        sys.stdout.flush()
         if args.metrics_out:
             try:
                 _write_metrics_report(args, reported)
@@ -1323,6 +1302,11 @@ def main(argv=None) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Stdout was closed early (``| head``): stop without a traceback,
+        # with stdout on the null device so no later flush raises again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a piped-off process
     finally:
         if attached:
             tracer().reset()

@@ -1,12 +1,11 @@
 """Pluggable contention-aware communication backends.
 
 This package grows the paper's flat guaranteed-bandwidth fabric
-(§2.1 ``bw_nw``, reproduced by :class:`repro.sched.comm.CommModel`) into
-a registry of interchangeable latency models:
+(§2.1 ``bw_nw``) into a registry of interchangeable latency models:
 
 ``flat``
-    The reference oracle — binds to the plain :class:`CommModel` when no
-    ARQ budget is set, byte-identical to the legacy path.
+    The paper's fabric and the reference oracle; with no ARQ budget its
+    fingerprint token is empty.
 ``shared-bus``
     Fixed-priority (rate-monotonic) arbitration over one medium;
     busy-period queueing delay from competing channels.
@@ -17,8 +16,7 @@ a registry of interchangeable latency models:
 ``bus-jobs``
     Every sized cross-processor transfer becomes a message job on a
     virtual bus processor, arbitrated by its producer's priority; edge
-    latencies stay flat.  The legacy ``bus_contention`` switch maps here
-    (:func:`legacy_bus_contention`).
+    latencies stay flat.
 
 All backends keep best-case latencies at the uncontended transfer time
 and only widen worst cases, so ``flat <= contended`` holds bound-wise —
@@ -27,7 +25,7 @@ alongside ARQ ``k -> k+1`` monotonicity.  Select a backend per system
 via ``Interconnect.comm_backend`` or per run via ``--comm-backend``.
 """
 
-from typing import Optional, Union
+from typing import Optional
 
 from repro.comm.base import ArqPolicy, BoundComm, ChannelSite, CommBackend
 from repro.comm.busjobs import BusJobsBackend
@@ -37,7 +35,6 @@ from repro.comm.sharedbus import SharedBusBackend
 from repro.comm.tdma import TdmaBackend
 from repro.errors import AnalysisError
 from repro.model.architecture import Architecture, Interconnect
-from repro.sched.comm import CommModel
 
 _REGISTRY = {}
 
@@ -108,47 +105,10 @@ def make_comm(
     return backend_cls(arq_retries=arq_retries, arq_timeout=arq_timeout)
 
 
-def default_comm(
-    architecture: Architecture,
-) -> Union[CommModel, CommBackend]:
-    """The comm model/backend an architecture asks for.
-
-    Flat with no ARQ budget returns the plain :class:`CommModel` —
-    the exact object the legacy call sites constructed — so systems
-    that never opt into contention keep byte-identical behaviour and
-    fingerprints.  Anything else returns the unbound backend, which
-    :func:`repro.sched.jobs.unroll` binds to the hardened task set.
-    """
-    interconnect = architecture.interconnect
-    if interconnect.comm_backend == "flat" and interconnect.arq_retries == 0:
-        return CommModel(interconnect)
-    return make_comm(interconnect.comm_backend)
-
-
-def resolve_comm(
-    comm: Union[None, str, CommModel, CommBackend],
-    architecture: Architecture,
-    arq_retries: Optional[int] = None,
-    arq_timeout: Optional[float] = None,
-) -> Union[CommModel, CommBackend]:
-    """Normalise the ``comm`` argument accepted across the public API.
-
-    Accepts ``None`` (architecture decides), a registry name, an
-    already-built :class:`CommModel`, or an unbound backend.  Explicit
-    ARQ overrides force the backend path even for ``flat`` (the margin
-    must be folded somewhere).
-    """
-    if isinstance(comm, str):
-        return make_comm(comm, arq_retries=arq_retries, arq_timeout=arq_timeout)
-    if comm is not None:
-        return comm
-    if arq_retries is not None or arq_timeout is not None:
-        return make_comm(
-            architecture.interconnect.comm_backend,
-            arq_retries=arq_retries,
-            arq_timeout=arq_timeout,
-        )
-    return default_comm(architecture)
+def default_comm(architecture: Architecture) -> CommBackend:
+    """The unbound backend an architecture's interconnect names, which
+    :func:`repro.sched.jobs.unroll` binds to the hardened task set."""
+    return make_comm(architecture.interconnect.comm_backend)
 
 
 def with_comm(
@@ -180,33 +140,6 @@ def with_comm(
     return architecture.with_interconnect(rewritten)
 
 
-#: Fabrics the legacy switch may stand for: message jobs over flat edges.
-_MESSAGE_JOB_FABRICS = ("flat", "bus-jobs")
-
-
-def legacy_bus_contention(
-    architecture: Architecture, comm_backend: Optional[str] = None
-) -> Architecture:
-    """The fabric a legacy ``bus_contention`` switch asks for: ``bus-jobs``.
-
-    The switch predates the registry and meant message jobs over flat
-    edge latencies, so the interconnect is rewritten to ``bus-jobs``,
-    keeping its ARQ budget (folded into every message job's WCET).  The
-    backend in force, ``comm_backend`` if given and else the declared
-    one, must be ``flat`` or ``bus-jobs``: over any other fabric the
-    simulator charges latencies that message jobs do not bound, so the
-    switch is rejected with an :class:`AnalysisError`.
-    """
-    name = comm_backend or architecture.interconnect.comm_backend
-    if name not in _MESSAGE_JOB_FABRICS:
-        raise AnalysisError(
-            f"bus_contention models message jobs over a flat fabric, but "
-            f"the comm backend is {name!r}; drop the switch, or select "
-            f"comm backend 'bus-jobs' on a flat fabric"
-        )
-    return with_comm(architecture, backend="bus-jobs")
-
-
 __all__ = [
     "ArqPolicy",
     "BoundComm",
@@ -220,9 +153,7 @@ __all__ = [
     "TdmaBackend",
     "check_backend",
     "default_comm",
-    "legacy_bus_contention",
     "make_comm",
     "register_backend",
-    "resolve_comm",
     "with_comm",
 ]

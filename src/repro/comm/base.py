@@ -10,9 +10,21 @@ what gets bound, not the source graphs.
 
 A bound model answers per-channel latency queries through
 ``channel_bounds(src, dst, size, same_processor) -> (best, worst)``.
-Best-case latencies are always the *uncontended* transfer time (the same
-safe lower bound the flat :class:`~repro.sched.comm.CommModel` uses);
-contention and the ARQ message-fault margin widen the worst case only.
+Best-case latencies are always the *uncontended* transfer time (the
+bound of the ``flat`` backend, the paper's §2.1 fabric); contention and
+the ARQ message-fault margin widen the worst case only.
+
+**Zero-size semantics.**  A ``size <= 0`` channel is a pure
+synchronisation token (a precedence edge with no payload).  Off
+processor it is *intentionally asymmetric*: the best case is ``0.0`` —
+an empty message can ride an already-open arbitration window for free —
+while the worst case charges ``base_latency``, because even a
+payload-free message must win one arbitration round on the fabric
+before the dependent task may start.  Collapsing either side would
+respectively inflate the best-case lower bound past observable
+schedules or let the fabric deliver infinitely many sync tokens in zero
+time.  Both sides are pinned by regression tests in
+``tests/sched/test_comm.py``.
 
 **ARQ message faults.**  A cross-processor transfer can be hit by a
 transient fault and be re-sent up to ``k = arq_retries`` times, each
@@ -30,8 +42,8 @@ Bound models expose :attr:`~BoundComm.fingerprint_token`, a canonical
 string that :meth:`repro.sched.jobs.JobSet.fingerprint` folds into the
 structural digest, so two systems differing only in their comm
 configuration can never collide in the ScheduleCache.  The flat model
-with no ARQ binds to the plain :class:`~repro.sched.comm.CommModel`
-(empty token), keeping every legacy digest byte-identical.
+with no ARQ has the empty token, so the digests of systems that never
+opt into contention carry no comm fragment at all.
 """
 
 from dataclasses import dataclass
@@ -135,8 +147,8 @@ def attempt_cost(interconnect: Interconnect, size: float) -> float:
 
     Sized transfers occupy the medium for ``base_latency + size / bw``;
     zero-size transfers are pure synchronisation tokens that still pay
-    the arbitration ``base_latency`` in the worst case (the same
-    asymmetry :class:`~repro.sched.comm.CommModel` pins).
+    the arbitration ``base_latency`` in the worst case (see the module
+    docstring).
     """
     if size <= 0:
         return interconnect.base_latency
@@ -156,6 +168,10 @@ class BoundComm:
         self._arq = arq
 
     # -- protocol ------------------------------------------------------
+
+    def bind(self, applications, mapping: Mapping, architecture: Architecture):
+        """A bound model is already bound: binding returns it unchanged."""
+        return self
 
     @property
     def arq_retries(self) -> int:
@@ -192,7 +208,8 @@ class BoundComm:
 
         The simulator unrolls with these so it can charge retransmission
         delays per injected message fault instead of always paying the
-        folded worst case.
+        folded worst case.  Off-processor ``size <= 0`` tokens are free
+        best-case and pay ``base_latency`` worst-case (module docstring).
         """
         if same_processor:
             return 0.0, 0.0

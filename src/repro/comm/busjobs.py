@@ -26,15 +26,6 @@ class BusJobsBound(FlatBound):
         transfer = self._interconnect.transfer_time(size)
         return transfer, self._arq.fold_worst(transfer)
 
-    @property
-    def fingerprint_token(self) -> str:
-        # Message jobs already shape the structural digest; without ARQ
-        # the token stays empty, as flat's does, so job-set digests and
-        # cache keys match the message-job builds that predate the backend.
-        if not self._arq.active:
-            return ""
-        return super().fingerprint_token
-
     def describe(self) -> str:
         ic = self._interconnect
         return f"bus-jobs:bw={ic.bandwidth.hex()}:lat={ic.base_latency.hex()}"

@@ -1,17 +1,17 @@
 """The ``flat`` backend: the paper's guaranteed-bandwidth pipe.
 
-Binding with no ARQ budget returns the plain
-:class:`~repro.sched.comm.CommModel` itself, so the legacy analysis path
-(and every cached fingerprint) stays byte-identical — ``flat`` is the
-reference oracle the contended backends are verified against.  With a
-retransmission budget the bound model folds the ARQ margin on top of the
-uncontended worst case.
+Paper §2.1 gives the fabric a maximum bandwidth ``bw_nw`` that it
+guarantees to each transfer: between processors a transfer of ``s_e``
+bytes takes ``base_latency + s_e / bw``, on one processor it is free.
+``flat`` is the reference oracle the contended backends are verified
+against.  With a retransmission budget the bound model folds the ARQ
+margin on top of the uncontended worst case; without one its fingerprint
+token is empty, so job-set digests carry no comm fragment.
 """
 
 from repro.comm.base import BoundComm, CommBackend, attempt_cost
 from repro.model.architecture import Architecture
 from repro.model.mapping import Mapping
-from repro.sched.comm import CommModel
 
 
 class FlatBound(BoundComm):
@@ -19,6 +19,15 @@ class FlatBound(BoundComm):
 
     def attempt_worst(self, src: str, dst: str, size: float) -> float:
         return attempt_cost(self._interconnect, size)
+
+    @property
+    def fingerprint_token(self) -> str:
+        # Empty without ARQ (``bus-jobs`` inherits this: its message jobs
+        # already shape the structural digest), so job-set digests and
+        # cache keys match those computed before comm tokens existed.
+        if not self._arq.active:
+            return ""
+        return super().fingerprint_token
 
     def describe(self) -> str:
         ic = self._interconnect
@@ -32,9 +41,4 @@ class FlatBackend(CommBackend):
 
     def bind(self, applications, mapping: Mapping, architecture: Architecture):
         interconnect = architecture.interconnect
-        arq = self.resolve_arq(interconnect)
-        if not arq.active:
-            # Byte-identical legacy path: plain CommModel, no
-            # channel_bounds attribute, empty fingerprint token.
-            return CommModel(interconnect)
-        return FlatBound(interconnect, arq)
+        return FlatBound(interconnect, self.resolve_arq(interconnect))

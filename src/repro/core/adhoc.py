@@ -14,11 +14,11 @@ mappings, which is the motivation for a real worst-case analysis.
 
 from typing import Dict, Iterable, Optional
 
+from repro.comm import CommBackend
 from repro.core.analysis import GraphVerdict, MCAnalysisResult
 from repro.hardening.transform import HardenedSystem
 from repro.model.architecture import Architecture
 from repro.model.mapping import Mapping
-from repro.sched.comm import CommModel
 from repro.sim.engine import Simulator
 from repro.sim.faults import adhoc_profile
 from repro.sim.sampler import WorstCaseSampler
@@ -27,7 +27,7 @@ from repro.sim.sampler import WorstCaseSampler
 class AdhocAnalysis:
     """Deterministic worst-trace estimation of response times."""
 
-    def __init__(self, comm: Optional[CommModel] = None, policy: str = "fp"):
+    def __init__(self, comm: Optional[CommBackend] = None, policy: str = "fp"):
         self._comm = comm
         self._policy = policy
 

@@ -54,8 +54,7 @@ from repro.model.architecture import Architecture
 from repro.model.mapping import Mapping
 from repro.obs.metrics import metrics
 from repro.obs.trace import annotate, event, span as trace_span
-from repro.comm import default_comm
-from repro.sched.comm import CommModel
+from repro.comm import CommBackend, default_comm
 from repro.sched.jobs import JobSet, unroll
 from repro.sched.priority import assign_priorities
 from repro.sched.wcrt import ScheduleBounds, SchedBackend, WindowAnalysisBackend
@@ -135,13 +134,6 @@ class MCAnalysisResult:
         except KeyError:
             raise AnalysisError(f"no verdict for graph {graph_name!r}") from None
 
-    def completion_bound(self, task_name: str) -> float:
-        """Algorithm 1's return value for ``v_in = task_name``."""
-        try:
-            return self.task_completion[task_name]
-        except KeyError:
-            raise AnalysisError(f"no completion bound for task {task_name!r}") from None
-
 
 class MixedCriticalityAnalysis:
     """Algorithm 1: WCRT analysis under hardening and task dropping.
@@ -168,7 +160,7 @@ class MixedCriticalityAnalysis:
         self,
         backend: Optional[SchedBackend] = None,
         granularity: str = "job",
-        comm: Optional[CommModel] = None,
+        comm: Optional[CommBackend] = None,
         zero_dropped_bcet: bool = False,
         policy: str = "fp",
         fast_path: Optional[FastPathConfig] = None,

@@ -11,6 +11,9 @@ front door:
 * :data:`AnalysisMethod` — the behavioural protocol every method
   satisfies: ``analyze(hardened, architecture, mapping, dropped) ->
   MCAnalysisResult``;
+* :data:`SCHED_BACKENDS` — the one table of ``sched()`` back-end names,
+  which every front door (CLI, HTTP, :class:`~repro.dse.ExploreRequest`)
+  validates and canonicalizes against;
 * :func:`make_backend` — ``sched()`` back-end by name;
 * :func:`make_analysis` — analysis method by name, accepting the union
   of the options and routing each to the methods that understand it.
@@ -21,6 +24,7 @@ facade both go through :func:`make_analysis`.
 
 from typing import Iterable, Optional, Protocol, Union, runtime_checkable
 
+from repro.comm import CommBackend
 from repro.core.adhoc import AdhocAnalysis
 from repro.core.analysis import MCAnalysisResult, MixedCriticalityAnalysis
 from repro.core.fastpath import FastPathConfig
@@ -29,13 +33,14 @@ from repro.errors import AnalysisError
 from repro.hardening.transform import HardenedSystem
 from repro.model.architecture import Architecture
 from repro.model.mapping import Mapping
-from repro.sched.comm import CommModel
 from repro.sched.wcrt import SchedBackend, WindowAnalysisBackend
 
 __all__ = [
     "ANALYSIS_METHODS",
+    "DEFAULT_BACKEND",
     "SCHED_BACKENDS",
     "AnalysisMethod",
+    "backend_token",
     "make_analysis",
     "make_backend",
     "make_dse_evaluator",
@@ -44,8 +49,41 @@ __all__ = [
 #: Method names accepted by :func:`make_analysis`.
 ANALYSIS_METHODS = ("proposed", "naive", "adhoc")
 
-#: Back-end names accepted by :func:`make_backend`.
-SCHED_BACKENDS = ("window", "fast", "holistic")
+#: Every sched back-end spelling accepted anywhere, with the back-end it
+#: names.  ``"fast"`` is the window back-end's first name: it stays an
+#: input spelling, and exploration digests still write it (see
+#: :data:`DSE_DEFAULT_TOKEN`).
+SCHED_BACKENDS = {"window": "window", "fast": "window", "holistic": "holistic"}
+
+#: The back-end an omitted name selects: Algorithm 1's window fixed point.
+DEFAULT_BACKEND = "window"
+
+#: What exploration digests (``ExploreRequest.canonical_options``,
+#: persisted jobs) write for the default back-end.
+DSE_DEFAULT_TOKEN = "fast"
+
+
+def backend_token(
+    name: Optional[str], default: Optional[str] = None
+) -> Optional[str]:
+    """The canonical token of a back-end spelling.
+
+    ``default`` for the default back-end, however it is spelled
+    (omitted, ``"window"`` or ``"fast"``); the back-end's name otherwise.
+    Served analyze requests keep ``None`` as their default token and
+    explorations keep :data:`DSE_DEFAULT_TOKEN`, so every spelling of
+    one request digests identically.  Unknown names raise an
+    :class:`AnalysisError` listing the table.
+    """
+    if name is None:
+        return default
+    if not isinstance(name, str) or name not in SCHED_BACKENDS:
+        raise AnalysisError(
+            f"unknown sched backend {name!r}; available: "
+            f"{', '.join(SCHED_BACKENDS)}"
+        )
+    resolved = SCHED_BACKENDS[name]
+    return default if resolved == DEFAULT_BACKEND else resolved
 
 
 @runtime_checkable
@@ -64,28 +102,24 @@ class AnalysisMethod(Protocol):
 
 
 def make_backend(name: str) -> SchedBackend:
-    """Instantiate a ``sched()`` back-end by registry name."""
-    if name in ("window", "fast"):  # "fast" is the historical alias
+    """Instantiate a ``sched()`` back-end by one of :data:`SCHED_BACKENDS`."""
+    if backend_token(name) is None:
         return WindowAnalysisBackend()
-    if name == "holistic":
-        from repro.sched.holistic import HolisticAnalysisBackend
+    from repro.sched.holistic import HolisticAnalysisBackend
 
-        return HolisticAnalysisBackend()
-    raise AnalysisError(
-        f"unknown sched backend {name!r}; available: {SCHED_BACKENDS}"
-    )
+    return HolisticAnalysisBackend()
 
 
 def make_analysis(
     method: str = "proposed",
     backend: Union[SchedBackend, str, None] = None,
     granularity: str = "job",
-    comm: Union[CommModel, str, None] = None,
+    comm: Union[CommBackend, str, None] = None,
     comm_arq: Optional[int] = None,
     comm_arq_timeout: Optional[float] = None,
     policy: str = "fp",
     zero_dropped_bcet: bool = False,
-    fast_path: Union[FastPathConfig, bool, None] = None,
+    fast_path: Optional[FastPathConfig] = None,
 ) -> AnalysisMethod:
     """Build an analysis method from the union of the options.
 
@@ -99,12 +133,16 @@ def make_analysis(
     :data:`repro.comm.COMM_BACKENDS` (with optional ``comm_arq`` /
     ``comm_arq_timeout`` ARQ overrides — giving only the overrides
     applies them to whatever backend each analyzed architecture names);
-    ``fast_path`` accepts a config, ``True`` for the defaults, or
-    ``None``/``False`` for the historical cold path.
+    ``fast_path`` is a :class:`FastPathConfig`, or ``None`` for the cold
+    path.
     """
     if method not in ANALYSIS_METHODS:
         raise AnalysisError(
             f"unknown analysis method {method!r}; available: {ANALYSIS_METHODS}"
+        )
+    if fast_path is not None and not isinstance(fast_path, FastPathConfig):
+        raise AnalysisError(
+            f"fast_path must be a FastPathConfig or None, got {fast_path!r}"
         )
     if isinstance(backend, str):
         backend = make_backend(backend)
@@ -120,10 +158,6 @@ def make_analysis(
         comm = make_comm(
             None, arq_retries=comm_arq, arq_timeout=comm_arq_timeout
         )
-    if fast_path is True:
-        fast_path = FastPathConfig()
-    elif fast_path is False:
-        fast_path = None
     if method == "proposed":
         return MixedCriticalityAnalysis(
             backend=backend,
@@ -146,18 +180,14 @@ def make_dse_evaluator(problem, backend: Optional[str] = None):
     """The GA's design-point evaluator for a named sched back-end.
 
     One validation path for CLI, HTTP, and the api facade: unknown names
-    raise with the registry listed, and ``None``/``"fast"``/``"window"``
-    build the same evaluator the Explorer would default to (task
+    raise with the table listed, and every spelling of the default
+    back-end builds the evaluator the Explorer would default to (task
     granularity, the DSE fast path, the problem's communication model).
     """
     from repro.core.evaluator import Evaluator
 
-    if backend in (None, "fast", "window"):
+    if backend_token(backend) is None:
         return Evaluator(problem)
-    if backend not in SCHED_BACKENDS:
-        raise AnalysisError(
-            f"unknown sched backend {backend!r}; available: {SCHED_BACKENDS}"
-        )
     return Evaluator(
         problem,
         analysis=make_analysis(

@@ -14,8 +14,7 @@ from repro.core.analysis import GraphVerdict, MCAnalysisResult
 from repro.hardening.transform import HardenedSystem
 from repro.model.architecture import Architecture
 from repro.model.mapping import Mapping
-from repro.comm import default_comm
-from repro.sched.comm import CommModel
+from repro.comm import CommBackend, default_comm
 from repro.sched.jobs import unroll
 from repro.sched.priority import assign_priorities
 from repro.sched.wcrt import SchedBackend, WindowAnalysisBackend
@@ -35,7 +34,7 @@ class NaiveAnalysis:
     def __init__(
         self,
         backend: Optional[SchedBackend] = None,
-        comm: Optional[CommModel] = None,
+        comm: Optional[CommBackend] = None,
         policy: str = "fp",
     ):
         self._backend: SchedBackend = backend or WindowAnalysisBackend()

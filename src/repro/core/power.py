@@ -122,24 +122,6 @@ class PowerModel:
             total += processor.dynamic_power * utilizations.get(name, 0.0)
         return total
 
-    def worst_case_utilizations(
-        self, hardened: HardenedSystem, mapping: Mapping
-    ) -> Dict[str, float]:
-        """Critical-state WCET utilization per processor.
-
-        Charges Eq. (1) for re-executable tasks and full WCET for passive
-        copies; useful as a quick necessary condition for schedulability.
-        """
-        load: Dict[str, float] = {}
-        for graph in hardened.applications.graphs:
-            for task in graph.tasks:
-                processor = self._architecture.processor(mapping[task.name])
-                worst = processor.scale_time(hardened.critical_wcet(task.name))
-                load[processor.name] = (
-                    load.get(processor.name, 0.0) + worst / graph.period
-                )
-        return load
-
     def _base_time(self, bcet: float, wcet: float) -> float:
         if self._use_average:
             return 0.5 * (bcet + wcet)

@@ -9,12 +9,12 @@ hardening plan (which yields ``T'``), the task-to-processor mapping over
 from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
+from repro.comm import CommBackend
 from repro.errors import ModelError
 from repro.hardening.spec import HardeningPlan
 from repro.model.application import ApplicationSet
 from repro.model.architecture import Architecture
 from repro.model.mapping import Mapping
-from repro.sched.comm import CommModel
 
 
 @dataclass(frozen=True)
@@ -27,15 +27,14 @@ class Problem:
 
     applications: ApplicationSet
     architecture: Architecture
-    comm: Optional[CommModel] = None
+    comm: Optional[CommBackend] = None
 
-    def comm_model(self) -> CommModel:
+    def comm_model(self) -> CommBackend:
         """The effective communication model.
 
-        Defaults to whatever the architecture's interconnect selects:
-        the plain flat :class:`CommModel` for legacy systems, or the
-        unbound contention backend named by ``comm_backend`` (bound at
-        unroll time, see :mod:`repro.comm`).
+        Defaults to the unbound backend the architecture's interconnect
+        names in ``comm_backend`` (bound at unroll time, see
+        :mod:`repro.comm`).
         """
         if self.comm is not None:
             return self.comm

@@ -14,7 +14,7 @@ reduces to comparing two dataclasses (or their canonical JSON forms, see
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.factory import SCHED_BACKENDS
+from repro.core.factory import DSE_DEFAULT_TOKEN, backend_token
 from repro.dse.ga import ExplorerConfig
 from repro.errors import ExplorationError
 
@@ -91,14 +91,13 @@ class ExploreRequest:
     system: Any  #: SystemBundle, suite name, path, or inline payload dict
     config: ExplorerConfig
     topology: IslandTopology = field(default_factory=IslandTopology)
-    backend: Optional[str] = None  #: sched backend (None == "fast")
+    #: Sched back-end, any spelling of :data:`repro.core.SCHED_BACKENDS`
+    #: (``None`` is the default); stored as its exploration token.
+    backend: Optional[str] = None
 
     def __post_init__(self):
-        if self.backend is not None and self.backend not in SCHED_BACKENDS:
-            raise ExplorationError(
-                f"unknown sched backend {self.backend!r}; "
-                f"available: {', '.join(SCHED_BACKENDS)}"
-            )
+        token = backend_token(self.backend, DSE_DEFAULT_TOKEN)
+        object.__setattr__(self, "backend", token)
 
     @classmethod
     def from_options(
@@ -136,8 +135,8 @@ class ExploreRequest:
     def canonical_options(self) -> Dict[str, Any]:
         """The request's semantics minus the system, in canonical form.
 
-        Equivalent spellings (``backend=None`` vs ``"fast"``, one island
-        with any migration settings vs an explicit ``none`` topology)
+        Equivalent spellings (every spelling of the default back-end, one
+        island with any migration settings vs an explicit ``none`` topology)
         produce equal dicts; the serve layer composes this with the
         inlined system payload to form the dedup digest.  Keys follow
         the ``/v1/explore`` wire schema (``population`` carries the
@@ -161,5 +160,5 @@ class ExploreRequest:
             "migration_every": topo.migration_every,
             "migrants": topo.migrants,
             "topology": topo.kind,
-            "backend": self.backend or "fast",
+            "backend": self.backend,
         }

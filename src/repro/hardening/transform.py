@@ -115,10 +115,6 @@ class HardenedSystem:
         """Whether a ``T'`` task is an on-demand (passive) copy."""
         return task_name in self.passive_tasks
 
-    def is_reexecutable(self, task_name: str) -> bool:
-        """Whether a ``T'`` task is hardened by re-execution."""
-        return task_name in self.reexec_counts
-
     def is_time_redundant(self, task_name: str) -> bool:
         """Whether a ``T'`` task recovers via re-execution or checkpointing."""
         return task_name in self.time_redundancy
@@ -195,11 +191,6 @@ class HardenedSystem:
                 )
             )
         return triggers
-
-    @property
-    def trigger_count(self) -> int:
-        """Number of possible normal-to-critical transitions."""
-        return len(self.triggers())
 
 
 def harden(applications: ApplicationSet, plan: HardeningPlan) -> HardenedSystem:

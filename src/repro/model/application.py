@@ -114,11 +114,6 @@ class ApplicationSet:
             if g.name not in dropped_set
         )
 
-    @property
-    def max_service(self) -> float:
-        """Quality of service when nothing is dropped."""
-        return self.service_of(())
-
     def validate_drop_set(self, dropped: Iterable[str]) -> FrozenSet[str]:
         """Check a candidate drop set ``T_d`` and return it as a frozenset.
 
@@ -143,10 +138,6 @@ class ApplicationSet:
     def hyperperiod(self) -> float:
         """Least common multiple of all graph periods."""
         return hyperperiod(g.period for g in self.graphs)
-
-    def total_utilization(self) -> float:
-        """Sum of per-graph WCET utilizations."""
-        return sum(g.utilization() for g in self.graphs)
 
     # ------------------------------------------------------------------
     # Derivation

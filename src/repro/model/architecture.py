@@ -209,10 +209,6 @@ class Architecture:
         except KeyError:
             raise ModelError(f"no processor named {name!r}") from None
 
-    def processors_of_type(self, ptype: str) -> Tuple[Processor, ...]:
-        """All processors of a given type label."""
-        return tuple(p for p in self.processors if p.ptype == ptype)
-
     def with_interconnect(self, interconnect: Interconnect) -> "Architecture":
         """A copy of this platform with the interconnect replaced.
 
@@ -221,10 +217,6 @@ class Architecture:
         ARQ-monotonicity oracle's ``k -> k+1`` probe).
         """
         return Architecture(self.processors, interconnect)
-
-    def max_static_power(self) -> float:
-        """Static power with every processor allocated."""
-        return sum(p.static_power for p in self.processors)
 
     def __repr__(self) -> str:
         return (

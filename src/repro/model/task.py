@@ -103,10 +103,6 @@ class Task:
         """Return a copy with new execution-time bounds."""
         return replace(self, bcet=bcet, wcet=wcet)
 
-    def renamed(self, name: str) -> "Task":
-        """Return a copy under a different name."""
-        return replace(self, name=name)
-
 
 @dataclass(frozen=True)
 class Channel:

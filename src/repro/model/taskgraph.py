@@ -270,10 +270,6 @@ class TaskGraph:
         """Channels entering a task."""
         return [self._channels[(p, task_name)] for p in self.predecessors(task_name)]
 
-    def out_channels(self, task_name: str) -> List[Channel]:
-        """Channels leaving a task."""
-        return [self._channels[(task_name, s)] for s in self.successors(task_name)]
-
     @property
     def sources(self) -> List[str]:
         """Tasks without predecessors."""

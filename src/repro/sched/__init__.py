@@ -23,7 +23,6 @@ assigned by criticality, then rate, then topological depth
 """
 
 from repro.sched.priority import assign_priorities
-from repro.sched.comm import CommModel
 from repro.sched.jobs import Job, JobId, JobSet, unroll
 from repro.sched.wcrt import (
     JobBounds,
@@ -36,7 +35,6 @@ from repro.sched.holistic import HolisticAnalysisBackend
 
 __all__ = [
     "assign_priorities",
-    "CommModel",
     "Job",
     "JobId",
     "JobSet",

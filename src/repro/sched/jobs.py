@@ -31,13 +31,15 @@ from typing import Dict, List, Mapping as TMapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.comm.base import CommBackend
+from repro.comm.busjobs import BusJobsBound
+from repro.comm.flat import FlatBackend
 from repro.errors import AnalysisError
 from repro.model.application import ApplicationSet
 from repro.model.architecture import Architecture
 from repro.model.mapping import Mapping
 from repro.model.taskgraph import TaskGraph
 from repro.obs.trace import span as trace_span
-from repro.sched.comm import CommModel
 from repro.sched.priority import assign_priorities
 
 #: A job is identified by its task name and the instance index of its graph.
@@ -665,10 +667,6 @@ class JobSet:
         jobs = self.jobs
         return [jobs[i] for i in range(first, first + size * count, size)]
 
-    def analyzed_jobs_of_task(self, task_name: str) -> List[Job]:
-        """First-hyperperiod jobs of a task."""
-        return [job for job in self.jobs_of_task(task_name) if job.analyzed]
-
     @property
     def analyzed_jobs(self) -> List[Job]:
         """All first-hyperperiod jobs."""
@@ -919,7 +917,7 @@ def unroll(
     applications: ApplicationSet,
     mapping: Mapping,
     architecture: Architecture,
-    comm: Optional[CommModel] = None,
+    comm: Optional[CommBackend] = None,
     priorities: Optional[Dict[str, int]] = None,
     bounds: Optional[TMapping[str, Tuple[float, float]]] = None,
     hyperperiods: int = 2,
@@ -936,19 +934,19 @@ def unroll(
     architecture:
         The platform; provides processor speeds and the interconnect.
     comm:
-        Channel latency model; defaults to the uncontended latency model of
-        the platform interconnect.  An *unbound*
-        :class:`repro.comm.CommBackend` (anything exposing ``bind``) is
-        bound here against the hardened application set, so replica and
-        voter channels participate in its contention analysis; bound
-        models answering ``channel_bounds`` are queried once per channel
-        and their ``fingerprint_token`` enters the job-set fingerprint.
-        A bound model answering ``message_bounds(size)`` (the ``bus-jobs``
-        backend) turns every sized cross-processor channel into a
-        *message job* on the virtual processor :data:`BUS_RESOURCE` with
-        those ``(bcet, wcet)``, ranked directly after its producer, so
-        concurrent transfers interfere instead of enjoying reserved
-        bandwidth.
+        Channel latency model; defaults to the ``flat`` fabric of the
+        platform interconnect with no ARQ budget.  A
+        :class:`repro.comm.CommBackend` is bound here against the
+        hardened application set, so replica and voter channels
+        participate in its contention analysis (an already bound model
+        binds to itself).  The bound model's ``channel_bounds`` is
+        queried once per channel and its ``fingerprint_token`` enters
+        the job-set fingerprint.  The ``bus-jobs`` model
+        (:class:`repro.comm.busjobs.BusJobsBound`) turns every sized
+        cross-processor channel into a *message job* on the virtual
+        processor :data:`BUS_RESOURCE` with its ``message_bounds``,
+        ranked directly after its producer, so concurrent transfers
+        interfere instead of enjoying reserved bandwidth.
     priorities:
         Task priorities (smaller = higher); defaults to
         :func:`repro.sched.priority.assign_priorities`.
@@ -971,10 +969,9 @@ def unroll(
         raise AnalysisError(f"policy must be 'fp' or 'edf', got {policy!r}")
     mapping.validate(applications, architecture)
     if comm is None:
-        comm = CommModel(architecture.interconnect)
-    elif hasattr(comm, "bind"):
-        comm = comm.bind(applications, mapping, architecture)
-    comm_token = getattr(comm, "fingerprint_token", "")
+        comm = FlatBackend(arq_retries=0)
+    comm = comm.bind(applications, mapping, architecture)
+    comm_token = comm.fingerprint_token
     if priorities is None:
         priorities = assign_priorities(applications)
     if hyperperiods < 1:
@@ -1011,8 +1008,7 @@ def unroll(
 
 def _template(graph, mapping, architecture, comm, bounds) -> GraphTemplate:
     """Unroll one instance of ``graph`` (see :class:`GraphTemplate`)."""
-    channel_bounds = getattr(comm, "channel_bounds", None)
-    message_bounds = getattr(comm, "message_bounds", None)
+    message_jobs = isinstance(comm, BusJobsBound)
     template = GraphTemplate(graph)
     local_of: Dict[str, int] = {}
     depth: Dict[str, int] = {}
@@ -1023,20 +1019,16 @@ def _template(graph, mapping, architecture, comm, bounds) -> GraphTemplate:
         for channel in channels:
             src = local_of[channel.src]
             same_pe = mapping[channel.src] == pe
-            if message_bounds is not None and channel.size > 0 and not same_pe:
+            if message_jobs and channel.size > 0 and not same_pe:
                 # Materialise the transfer as a bus job.
-                low, high = message_bounds(channel.size)
+                low, high = comm.message_bounds(channel.size)
                 message = template.add(
                     _message_name(channel.src, task_name), BUS_RESOURCE,
                     low, high, src, 0, [(src, 0.0, 0.0, False)],
                 )
                 inputs.append((message, 0.0, 0.0, channel.on_demand))
                 continue
-            if channel_bounds is not None:
-                best, worst = channel_bounds(channel.src, task_name, channel.size, same_pe)
-            else:
-                best = comm.best_case(channel.size, same_pe)
-                worst = comm.worst_case(channel.size, same_pe)
+            best, worst = comm.channel_bounds(channel.src, task_name, channel.size, same_pe)
             inputs.append((src, best, worst, channel.on_demand))
         if bounds is not None and task_name in bounds:
             low, high = bounds[task_name]

@@ -296,11 +296,6 @@ class TokenBucket:
                 return math.inf
             return (1.0 - self._tokens) / self.rate
 
-    @property
-    def tokens(self) -> float:
-        with self._lock:
-            return self._tokens
-
 
 class ClientQuotas:
     """Per-client token buckets keyed on the ``X-Repro-Client`` id.

@@ -207,20 +207,21 @@ def _run_analyze(params: Dict[str, Any]) -> bytes:
 def _run_analyze_degraded(params: Dict[str, Any]) -> bytes:
     """Brownout fallback: bounded window analysis, honestly marked.
 
-    Forces ``backend="fast"`` (the window back-end's historical name)
-    with no shared fast path, so a degraded run can never write into the
-    schedule cache that backs the byte-identity guarantee.  The response carries ``"degraded": true``
+    Forces the default window back-end with no shared fast path, so a
+    degraded run can never write into the schedule cache that backs the
+    byte-identity guarantee.  The response carries ``"degraded": true``
     and is keyed under a *separate* dedup digest, so degraded bytes can
     never be replayed to a client that was promised full service.
     """
     from repro.api import analyze
+    from repro.core.factory import DEFAULT_BACKEND
     from repro.serve.encoding import bundle_from_payload
 
     bundle = bundle_from_payload(params["system"])
     result = analyze(
         bundle,
         method="proposed",
-        backend="fast",
+        backend=DEFAULT_BACKEND,
         granularity=params["granularity"],
         dropped=tuple(params["dropped"]),
         policy=params["policy"],

@@ -18,8 +18,9 @@ import hashlib
 import json
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.comm import check_backend, legacy_bus_contention
+from repro.comm import check_backend
 from repro.core.analysis import MCAnalysisResult, TransitionInfo
+from repro.core.factory import DSE_DEFAULT_TOKEN, backend_token
 from repro.core.problem import DesignPoint
 from repro.dse.request import ExploreRequest, IslandTopology, TOPOLOGY_KINDS
 from repro.dse.results import (
@@ -162,9 +163,7 @@ def resolve_system(
 
 
 def canonical_system(
-    spec: Union[str, Dict[str, Any]],
-    allow_paths: bool = False,
-    message_jobs: bool = False,
+    spec: Union[str, Dict[str, Any]], allow_paths: bool = False
 ) -> Dict[str, Any]:
     """Resolve a system spec to its inline payload form.
 
@@ -172,19 +171,10 @@ def canonical_system(
     and the equivalent inline bundle coalesce — and an explore job stored
     for resume-on-restart no longer depends on files that may move.  An
     unregistered ``comm_backend`` is rejected here, before the request
-    can take a worker.  ``message_jobs`` applies the legacy analyze
-    switch through :func:`repro.comm.legacy_bus_contention`.
+    can take a worker.
     """
     bundle = resolve_system(spec, allow_paths=allow_paths)
-    architecture = bundle.architecture
-    check_backend(architecture.interconnect.comm_backend)
-    if message_jobs:
-        bundle = SystemBundle(
-            bundle.applications,
-            legacy_bus_contention(architecture),
-            bundle.mapping,
-            bundle.plan,
-        )
+    check_backend(bundle.architecture.interconnect.comm_backend)
     return bundle_to_payload(bundle)
 
 
@@ -194,7 +184,7 @@ def canonical_system(
 
 _ANALYZE_FIELDS = {
     "system", "method", "backend", "granularity", "dropped", "policy",
-    "bus_contention", "deadline_seconds",
+    "deadline_seconds",
 }
 _SIMULATE_FIELDS = {
     "system", "profiles", "seed", "dropped", "policy", "max_faults",
@@ -284,13 +274,6 @@ def _dropped_field(payload) -> Tuple[str, ...]:
     return tuple(n for n in dropped if n)
 
 
-def _bool_field(payload, name, default) -> bool:
-    value = payload.get(name, default)
-    if not isinstance(value, bool):
-        raise ReproError(f"{name} must be a JSON boolean (true or false)")
-    return value
-
-
 def _deadline_field(payload) -> Optional[float]:
     deadline = _float_field(payload, "deadline_seconds", None)
     if deadline is not None and deadline <= 0:
@@ -304,25 +287,19 @@ def parse_analyze_request(
     """Validate and normalize a ``/v1/analyze`` body.
 
     Returns a plain dict of canonical parameters (system inlined), ready
-    for :func:`request_digest` and for the worker to execute.  The legacy
-    ``bus_contention: true`` field is folded into the system's fabric
-    (comm backend ``bus-jobs``), so it never reaches the worker.
+    for :func:`request_digest` and for the worker to execute.  Every
+    spelling of the default back-end digests as ``backend: null``.
     """
     if not isinstance(payload, dict):
         raise ReproError("request body must be a JSON object")
     _reject_unknown(payload, _ANALYZE_FIELDS, "/v1/analyze")
     _require_system(payload)
-    message_jobs = _bool_field(payload, "bus_contention", False)
     return {
-        "system": canonical_system(
-            payload["system"], allow_paths, message_jobs
-        ),
+        "system": canonical_system(payload["system"], allow_paths),
         "method": _choice_field(
             payload, "method", "proposed", ("proposed", "naive", "adhoc")
         ),
-        "backend": _choice_field(
-            payload, "backend", None, (None, "window", "fast", "holistic")
-        ),
+        "backend": backend_token(payload.get("backend")),
         "granularity": _choice_field(
             payload, "granularity", "job", ("job", "task")
         ),
@@ -361,11 +338,11 @@ def parse_explore_request(
     """Validate and normalize a ``/v1/explore`` body (async job).
 
     The returned params are the request's *canonical* form: the system
-    is inlined, ``backend`` defaults to the explicit ``"fast"``, and the
-    island topology is normalized through
+    is inlined, every spelling of the default back-end becomes
+    ``"fast"``, and the island topology is normalized through
     :meth:`~repro.dse.request.IslandTopology.normalized` — so every
     spelling of the same exploration (one island with a ring vs. an
-    explicit ``none`` topology, ``backend`` omitted vs. ``"fast"``)
+    explicit ``none`` topology, ``backend`` omitted vs. ``"window"``)
     digests identically and coalesces in the dedup layer, exactly like
     analyze payloads do.
     """
@@ -403,9 +380,7 @@ def parse_explore_request(
         "migration_every": topology.migration_every,
         "migrants": topology.migrants,
         "topology": topology.kind,
-        "backend": _choice_field(
-            payload, "backend", "fast", (None, "window", "fast", "holistic")
-        ) or "fast",
+        "backend": backend_token(payload.get("backend"), DSE_DEFAULT_TOKEN),
         "deadline_seconds": _deadline_field(payload),
         "idempotency_key": _idempotency_key_field(payload),
     }
@@ -484,7 +459,7 @@ def explore_request_from_params(params: Dict[str, Any]) -> ExploreRequest:
     """
     return ExploreRequest.from_options(
         params["system"],
-        backend=params.get("backend", "fast"),
+        backend=params.get("backend"),
         islands=params.get("islands", 1),
         migration_every=params.get("migration_every", 10),
         migrants=params.get("migrants", 2),

@@ -3,8 +3,8 @@
 Each processor runs a fixed-priority preemptive scheduler (the same
 priorities the analyses assume).  Jobs become ready when their graph
 instance has been released and all gating inputs have arrived; channel
-transfers take their worst-case latency (the fabric model of
-:mod:`repro.sched.comm`).
+transfers take their worst-case single-attempt latency (the bound comm
+model of :mod:`repro.comm`).
 
 Semantics of the hardening constructs (mirroring the analysis model):
 
@@ -26,14 +26,13 @@ import heapq
 import random
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.comm import default_comm
+from repro.comm import CommBackend, default_comm
 from repro.errors import SimulationError
 from repro.hardening.transform import HardenedSystem
 from repro.model.architecture import Architecture
 from repro.model.mapping import Mapping
 from repro.obs.metrics import metrics
 from repro.obs.trace import event
-from repro.sched.comm import CommModel
 from repro.sched.jobs import JobSet, unroll
 from repro.sched.priority import assign_priorities
 from repro.sim.faults import FaultProfile, no_fault_profile
@@ -83,7 +82,7 @@ class Simulator:
         architecture: Architecture,
         mapping: Mapping,
         dropped: Tuple[str, ...] = (),
-        comm: Optional[CommModel] = None,
+        comm: Optional[CommBackend] = None,
         collect_trace: bool = False,
         policy: str = "fp",
     ):
@@ -92,14 +91,13 @@ class Simulator:
         self._mapping = mapping
         self._dropped = hardened.source.validate_drop_set(dropped)
         comm = comm if comm is not None else default_comm(architecture)
-        if hasattr(comm, "bind"):
-            comm = comm.bind(hardened.applications, mapping, architecture)
+        comm = comm.bind(hardened.applications, mapping, architecture)
         # The analysis folds the full ARQ margin into channel bounds; the
         # engine instead unrolls single-attempt bounds and pays each
         # injected loss explicitly, so fault-free runs see no margin.
-        self._arq_retries = getattr(comm, "arq_retries", 0)
-        self._arq_timeout = getattr(comm, "arq_timeout", 0.0)
-        self._comm = comm.without_arq() if hasattr(comm, "without_arq") else comm
+        self._arq_retries = comm.arq_retries
+        self._arq_timeout = comm.arq_timeout
+        self._comm = comm.without_arq()
         self._collect_trace = collect_trace
         self._policy = policy
         self._priorities = assign_priorities(hardened.applications)

@@ -381,10 +381,7 @@ def _comm_active(state: SystemState) -> bool:
     campaign reports.
     """
     interconnect = state.architecture.interconnect
-    return (
-        getattr(interconnect, "comm_backend", "flat") != "flat"
-        or getattr(interconnect, "arq_retries", 0) > 0
-    )
+    return interconnect.comm_backend != "flat" or interconnect.arq_retries > 0
 
 
 def _run_scenarios(

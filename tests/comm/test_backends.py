@@ -9,7 +9,6 @@ from repro.model.architecture import Architecture, Interconnect, Processor
 from repro.model.mapping import Mapping
 from repro.model.task import Channel, Task
 from repro.model.taskgraph import TaskGraph
-from repro.sched.comm import CommModel
 
 
 def _system(fabric=None, processors=2):
@@ -37,7 +36,8 @@ def _bind(name, fabric=None, **arq):
 class TestFlatBackend:
     def test_no_arq_binds_to_the_legacy_model(self):
         bound = _bind("flat")
-        assert type(bound) is CommModel
+        assert bound.channel_bounds("a", "b", 200.0, False) == (3.0, 3.0)
+        assert bound.fingerprint_token == ""
 
     def test_arq_folds_into_worst_only(self):
         bound = _bind("flat", arq_retries=2, arq_timeout=0.5)
@@ -191,8 +191,9 @@ class TestLattice:
         contended = _bind(name)
         size = 200.0
         best, worst = contended.channel_bounds("a", "b", size, False)
-        assert best == pytest.approx(flat.best_case(size, False))
-        assert worst >= flat.worst_case(size, False) - 1e-9
+        flat_best, flat_worst = flat.channel_bounds("a", "b", size, False)
+        assert best == pytest.approx(flat_best)
+        assert worst >= flat_worst - 1e-9
 
     @pytest.mark.parametrize("name", ("flat", "shared-bus", "tdma", "noc-xy"))
     def test_arq_fold_is_monotone(self, name):

@@ -1,9 +1,9 @@
-"""The ``flat`` backend is byte-identical to the legacy comm model.
+"""The ``flat`` backend gives byte-identical results however it is built.
 
 Acceptance gate of the comm subsystem: on every built-in suite, the
 Proposed analysis produces the exact same result digest whether the comm
 model is left to default, selected as the ``flat`` backend by name, or
-built by hand as the legacy :class:`CommModel` — any drift means the
+built by hand as the zero-ARQ :class:`FlatBound` — any drift means the
 reference oracle broke.
 """
 
@@ -11,9 +11,10 @@ import json
 
 import pytest
 
+from repro.comm import ArqPolicy
+from repro.comm.flat import FlatBound
 from repro.core.factory import make_analysis
 from repro.model.serialization import SystemBundle
-from repro.sched.comm import CommModel
 from repro.suites import benchmark_names, get_benchmark
 from repro.verify.campaign import state_from_bundle
 from repro.verify.oracles import result_digest
@@ -42,6 +43,5 @@ def test_flat_backend_byte_identical(suite):
     state = state_from_bundle(bundle, seed=0)
     reference = _digest(state, None)
     assert _digest(state, "flat") == reference
-    assert _digest(state, CommModel(state.architecture.interconnect)) == (
-        reference
-    )
+    flat = FlatBound(state.architecture.interconnect, ArqPolicy())
+    assert _digest(state, flat) == reference

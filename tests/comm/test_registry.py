@@ -8,12 +8,10 @@ from repro.comm import (
     default_comm,
     make_comm,
     register_backend,
-    resolve_comm,
     with_comm,
 )
 from repro.errors import AnalysisError
 from repro.model.architecture import Architecture, Interconnect, Processor
-from repro.sched.comm import CommModel
 
 
 def _arch(**fabric):
@@ -57,7 +55,10 @@ class TestRegistry:
 class TestDefaultComm:
     def test_flat_without_arq_is_the_legacy_model(self):
         comm = default_comm(_arch())
-        assert type(comm) is CommModel
+        assert comm.name == "flat"
+        # The flat fabric's bounds do not depend on the task set.
+        bound = comm.bind(None, None, _arch())
+        assert (bound.arq_retries, bound.fingerprint_token) == (0, "")
 
     def test_contended_fabric_returns_a_backend(self):
         comm = default_comm(_arch(comm_backend="tdma"))
@@ -68,14 +69,6 @@ class TestDefaultComm:
         comm = default_comm(_arch(arq_retries=2))
         assert isinstance(comm, CommBackend)
         assert comm.name == "flat"
-
-    def test_resolve_comm_passthrough_and_name(self):
-        arch = _arch()
-        model = CommModel(arch.interconnect)
-        assert resolve_comm(model, arch) is model
-        assert resolve_comm("noc-xy", arch).name == "noc-xy"
-        assert type(resolve_comm(None, arch)) is CommModel
-        assert resolve_comm(None, arch, arq_retries=1).name == "flat"
 
 
 class TestWithComm:

@@ -43,8 +43,6 @@ class TestBasics:
         result = MixedCriticalityAnalysis().analyze(hardened, architecture, mapping)
         with pytest.raises(AnalysisError):
             result.wcrt_of("ghost")
-        with pytest.raises(AnalysisError):
-            result.completion_bound("ghost")
 
     def test_drop_set_validated(self, hardened, architecture, mapping):
         with pytest.raises(Exception):
@@ -118,7 +116,7 @@ class TestStateAdjustment:
     def test_completion_bounds_cover_all_tasks(self, hardened, architecture, mapping):
         result = MixedCriticalityAnalysis().analyze(hardened, architecture, mapping)
         for task in hardened.applications.all_tasks:
-            assert result.completion_bound(task.name) >= 0.0
+            assert result.task_completion[task.name] >= 0.0
 
     def test_transition_metadata(self, hardened, architecture, mapping):
         result = MixedCriticalityAnalysis().analyze(hardened, architecture, mapping)

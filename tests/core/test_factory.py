@@ -51,9 +51,9 @@ class TestMakeAnalysis:
 
     def test_fast_path_spellings(self):
         assert make_analysis("proposed")._fast_path is None
-        assert make_analysis("proposed", fast_path=False)._fast_path is None
-        enabled = make_analysis("proposed", fast_path=True)._fast_path
-        assert isinstance(enabled, FastPathConfig)
+        for flag in (True, False):
+            with pytest.raises(AnalysisError, match="FastPathConfig"):
+                make_analysis("proposed", fast_path=flag)
         explicit = FastPathConfig(cache_size=7)
         assert make_analysis("proposed", fast_path=explicit)._fast_path is explicit
 

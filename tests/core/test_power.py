@@ -106,10 +106,3 @@ class TestPowerObjective:
         utilizations = model.utilizations(hardened, mapping)
         assert set(utilizations) <= {"pe0", "pe1", "pe2"}
         assert all(u >= 0 for u in utilizations.values())
-
-    def test_worst_case_utilizations_dominate(self, hardened, mapping, architecture):
-        model = PowerModel(architecture)
-        average = model.utilizations(hardened, mapping)
-        worst = model.worst_case_utilizations(hardened, mapping)
-        for pe, load in average.items():
-            assert worst[pe] >= load - 1e-9

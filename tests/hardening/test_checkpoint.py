@@ -108,7 +108,7 @@ class TestTransform:
     def test_bookkeeping(self):
         hardened = checkpointed_system(segments=4, k=2)
         assert hardened.is_time_redundant("a")
-        assert not hardened.is_reexecutable("a")  # checkpoint, not re-exec
+        assert "a" not in hardened.reexec_counts  # checkpoint, not re-exec
         assert hardened.time_redundancy["a"].checkpoints == 4
         (trigger,) = hardened.triggers()
         assert trigger.kind is HardeningKind.CHECKPOINT

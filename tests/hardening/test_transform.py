@@ -41,8 +41,6 @@ class TestReexecution:
     def test_bookkeeping(self):
         hs = apps_with({"v": HardeningSpec.reexecution(2)})
         assert hs.reexec_counts == {"v": 2}
-        assert hs.is_reexecutable("v")
-        assert not hs.is_reexecutable("u")
 
     def test_nominal_bounds_include_detection(self):
         hs = apps_with({"v": HardeningSpec.reexecution(2)})
@@ -188,7 +186,7 @@ class TestErrors:
         apps = ApplicationSet([pipeline()])
         hs = harden(apps, HardeningPlan())
         assert hs.applications.graph("g").task_names == ("u", "v", "w")
-        assert hs.trigger_count == 0
+        assert hs.triggers() == []
 
     def test_spec_of_derived_task(self):
         hs = apps_with({"v": HardeningSpec.passive(3, active=2)})

@@ -84,17 +84,6 @@ class TestArchitecture:
         assert "pe1" in architecture
         assert [p.name for p in architecture] == ["pe0", "pe1", "pe2"]
 
-    def test_processors_of_type(self):
-        arch = Architecture(
-            [Processor("a", ptype="fast"), Processor("b", ptype="slow")],
-            Interconnect(bandwidth=1.0),
-        )
-        assert [p.name for p in arch.processors_of_type("fast")] == ["a"]
-        assert arch.processors_of_type("nope") == ()
-
-    def test_max_static_power(self, architecture):
-        assert architecture.max_static_power() == pytest.approx(3.0)
-
 
 class TestHomogeneousBuilder:
     def test_builds_requested_count(self):

@@ -76,9 +76,6 @@ class TestTaskDerivation:
         with pytest.raises(ModelError):
             Task("t", 1.0, 2.0).with_times(3.0, 2.0)
 
-    def test_renamed(self):
-        assert Task("t", 1.0, 2.0).renamed("u").name == "u"
-
     def test_tasks_are_hashable_value_objects(self):
         assert Task("t", 1.0, 2.0) == Task("t", 1.0, 2.0)
         assert hash(Task("t", 1.0, 2.0)) == hash(Task("t", 1.0, 2.0))

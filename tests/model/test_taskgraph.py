@@ -196,7 +196,7 @@ class TestStructure:
     def test_in_out_channels(self):
         graph = diamond_graph()
         assert {c.src for c in graph.in_channels("d")} == {"b", "c"}
-        assert {c.dst for c in graph.out_channels("a")} == {"b", "c"}
+        assert {c.dst for c in graph.channels if c.src == "a"} == {"b", "c"}
 
     def test_sources_sinks(self):
         graph = diamond_graph()

@@ -33,8 +33,8 @@ import hashlib
 
 import numpy as np
 
+from repro.comm.flat import FlatBackend
 from repro.errors import AnalysisError
-from repro.sched.comm import CommModel
 from repro.sched.jobs import BUS_RESOURCE, Batch, Job, JobSet
 from repro.sched.priority import assign_priorities
 from repro.sched.wcrt import ScheduleBounds
@@ -160,17 +160,15 @@ def reference_jobs(
     bounds=None,
     hyperperiods=2,
     policy="fp",
-    bus_contention=False,
+    message_jobs=False,
 ):
     """The unrolled jobs, built one :class:`Job` record at a time."""
     mapping.validate(applications, architecture)
     if comm is None:
-        comm = CommModel(architecture.interconnect)
-    elif hasattr(comm, "bind"):
-        comm = comm.bind(applications, mapping, architecture)
-    channel_bounds = getattr(comm, "channel_bounds", None)
-    arq_retries = getattr(comm, "arq_retries", 0)
-    arq_timeout = getattr(comm, "arq_timeout", 0.0)
+        comm = FlatBackend(arq_retries=0)
+    comm = comm.bind(applications, mapping, architecture)
+    arq_retries = comm.arq_retries
+    arq_timeout = comm.arq_timeout
     if priorities is None:
         priorities = assign_priorities(applications)
     hyperperiod = applications.hyperperiod
@@ -194,7 +192,7 @@ def reference_jobs(
 
     def needs_message(channel, dst_name):
         return (
-            bus_contention
+            message_jobs
             and channel.size > 0
             and mapping[channel.src] != mapping[dst_name]
         )
@@ -205,8 +203,8 @@ def reference_jobs(
             for task_name in graph.topological_order():
                 rank = task_rank[(task_name, instance)]
                 combined_keys.append((rank, 0, task_name, (task_name, instance)))
-                for channel in graph.out_channels(task_name):
-                    if needs_message(channel, channel.dst):
+                for channel in graph.channels:
+                    if channel.src == task_name and needs_message(channel, channel.dst):
                         message = f"{channel.src}>{channel.dst}"
                         combined_keys.append((rank, 1, message, (message, instance)))
     combined_keys.sort()
@@ -265,13 +263,9 @@ def reference_jobs(
                         preds.append((message_index, 0.0, 0.0, channel.on_demand))
                         continue
                     same_pe = mapping[channel.src] == mapping[task_name]
-                    if channel_bounds is not None:
-                        best, worst = channel_bounds(
-                            channel.src, task_name, channel.size, same_pe
-                        )
-                    else:
-                        best = comm.best_case(channel.size, same_pe)
-                        worst = comm.worst_case(channel.size, same_pe)
+                    best, worst = comm.channel_bounds(
+                        channel.src, task_name, channel.size, same_pe
+                    )
                     preds.append((pred, best, worst, channel.on_demand))
                 add(
                     task_name=task_name,

@@ -223,33 +223,49 @@ class TestSimulation:
 
 
 class TestLegacySwitch:
-    """``bus_contention`` is the ``bus-jobs`` backend over a flat fabric."""
+    """The ``bus_contention`` switch is gone: ``bus-jobs`` is the one
+    spelling of message jobs, and the old flag is an argparse error."""
 
     def test_flat_fabric_becomes_bus_jobs_keeping_arq(self):
-        from repro.comm import legacy_bus_contention
+        from repro.comm import with_comm
 
-        arch = legacy_bus_contention(platform(arq_retries=2, arq_timeout=0.5))
+        arch = with_comm(
+            platform(arq_retries=2, arq_timeout=0.5), backend="bus-jobs"
+        )
         ic = arch.interconnect
         assert (ic.comm_backend, ic.arq_retries, ic.arq_timeout) == (
             "bus-jobs", 2, 0.5,
         )
-        for override in ("flat", "bus-jobs"):
-            assert legacy_bus_contention(arch, override).interconnect == ic
+        assert with_comm(arch).interconnect == ic
 
     @pytest.mark.parametrize("declared", ("shared-bus", "tdma", "noc-xy"))
-    def test_other_declared_fabrics_rejected(self, declared):
-        from repro.comm import legacy_bus_contention
-        from repro.errors import AnalysisError
+    def test_other_declared_fabrics_rejected(self, declared, tmp_path, capsys):
+        from repro.cli import main
+        from repro.model.serialization import save_system
 
-        with pytest.raises(AnalysisError, match=f"'{declared}'"):
-            legacy_bus_contention(platform(comm_backend=declared))
+        path = tmp_path / "system.json"
+        save_system(
+            path, crossing_apps(), platform(comm_backend=declared),
+            crossing_mapping(),
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", str(path), "--bus-contention"])
+        assert exit_info.value.code == 2
+        assert "--bus-contention" in capsys.readouterr().err
 
-    def test_other_override_rejected(self):
-        from repro.comm import legacy_bus_contention
-        from repro.errors import AnalysisError
+    def test_other_override_rejected(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.model.serialization import save_system
 
-        with pytest.raises(AnalysisError, match="'shared-bus'"):
-            legacy_bus_contention(platform(), "shared-bus")
+        path = tmp_path / "system.json"
+        save_system(path, crossing_apps(), platform(), crossing_mapping())
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["analyze", str(path), "--comm-backend", "shared-bus",
+                 "--bus-contention"]
+            )
+        assert exit_info.value.code == 2
+        assert "--bus-contention" in capsys.readouterr().err
 
     def test_cli_flag_rejects_another_backend(self, tmp_path, capsys):
         from repro.cli import main
@@ -257,23 +273,34 @@ class TestLegacySwitch:
 
         path = tmp_path / "system.json"
         save_system(path, crossing_apps(), platform(), crossing_mapping())
-        code = main(
-            ["analyze", str(path), "--bus-contention", "--comm-backend", "tdma"]
-        )
-        assert code == 2
-        assert "bus_contention" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["analyze", str(path), "--bus-contention",
+                 "--comm-backend", "tdma"]
+            )
+        assert exit_info.value.code == 2
+        assert "--bus-contention" in capsys.readouterr().err
 
     def test_cli_flag_equals_the_backend_spelling(self, tmp_path, capsys):
+        """``--comm-backend bus-jobs`` prints what a system that declares
+        ``bus-jobs`` prints, ARQ budget included."""
         from repro.cli import main
+        from repro.comm import with_comm
         from repro.model.serialization import save_system
 
-        path = tmp_path / "system.json"
+        flat = tmp_path / "flat.json"
+        declared = tmp_path / "bus-jobs.json"
+        arch = platform(arq_retries=2)
+        save_system(flat, crossing_apps(), arch, crossing_mapping())
         save_system(
-            path, crossing_apps(), platform(arq_retries=2), crossing_mapping()
+            declared, crossing_apps(), with_comm(arch, backend="bus-jobs"),
+            crossing_mapping(),
         )
         outputs = []
-        for flags in (["--bus-contention"], ["--comm-backend", "bus-jobs"]):
-            main(["analyze", str(path), *flags])
+        for argv in (
+            [str(flat), "--comm-backend", "bus-jobs"], [str(declared)]
+        ):
+            main(["analyze", *argv])
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
@@ -283,7 +310,7 @@ class TestLegacySoundness:
         """Message jobs over flat with ``arq_retries=2`` keep the
         retransmission margin, so simulated responses under message
         faults stay within the bounds."""
-        from repro.comm import legacy_bus_contention
+        from repro.comm import with_comm
         from repro.model.serialization import SystemBundle
         from repro.verify.campaign import (
             CampaignConfig,
@@ -291,7 +318,7 @@ class TestLegacySoundness:
             state_from_bundle,
         )
 
-        architecture = legacy_bus_contention(platform(arq_retries=2))
+        architecture = with_comm(platform(arq_retries=2), backend="bus-jobs")
         bundle = SystemBundle(
             crossing_apps(), architecture, crossing_mapping(), plan=None
         )

@@ -60,7 +60,7 @@ def assert_structure_matches(applications, mapping, architecture, **options):
     # comm backend is spelled "bus-jobs".
     message_jobs = getattr(options.get("comm"), "name", None) == "bus-jobs"
     jobs = reference_jobs(
-        applications, mapping, architecture, bus_contention=message_jobs, **options
+        applications, mapping, architecture, message_jobs=message_jobs, **options
     )
     reference = ReferenceStructure(jobs)
 

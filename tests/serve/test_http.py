@@ -70,7 +70,15 @@ class TestAnalyzeEndpoint:
     def test_legacy_bus_contention_serves_the_bus_jobs_bytes(
         self, client, bundle
     ):
-        raw = client.analyze_raw(bundle, bus_contention=True)
+        from repro.comm import with_comm
+
+        declared = SystemBundle(
+            bundle.applications,
+            with_comm(bundle.architecture, backend="bus-jobs"),
+            bundle.mapping,
+            bundle.plan,
+        )
+        raw = client.analyze_raw(declared)
         direct = canonical_bytes(
             analysis_result_to_dict(analyze(bundle, comm_backend="bus-jobs"))
         )
@@ -282,10 +290,15 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("value", ["false", "no", 1, None])
     def test_non_boolean_bus_contention_400(self, client, bundle, value):
+        batches = _counter("serve.batches")
         with pytest.raises(ServeError) as info:
             client.analyze(bundle, bus_contention=value)
         assert info.value.status == 400
-        assert "bus_contention must be a JSON boolean" in str(info.value)
+        assert "unknown field(s) for /v1/analyze: bus_contention" in str(
+            info.value
+        )
+        # Rejected at admission: nothing reached the batcher.
+        assert _counter("serve.batches") == batches
 
     @pytest.mark.parametrize("endpoint", ["analyze", "simulate", "explore"])
     def test_unknown_comm_backend_400(self, client, bundle, endpoint):
@@ -311,10 +324,12 @@ class TestErrorContract:
             bundle.mapping,
             bundle.plan,
         )
+        batches = _counter("serve.batches")
         with pytest.raises(ServeError) as info:
             client.analyze(shared, bus_contention=True)
         assert info.value.status == 400
-        assert "'shared-bus'" in str(info.value)
+        assert "bus_contention" in str(info.value)
+        assert _counter("serve.batches") == batches
 
     def test_saturated_pool_429_with_retry_after(self, server, client, bundle):
         # Plug every worker, then fill the admission queue to the brim.

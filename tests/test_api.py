@@ -4,6 +4,7 @@ import pytest
 
 import repro
 from repro.api import analyze, explore, load, simulate, validate_dropped
+from repro.core.fastpath import FastPathConfig
 from repro.dse import ExploreRequest
 from repro.errors import ReproError
 from repro.model.serialization import SystemBundle, save_system
@@ -72,7 +73,7 @@ class TestAnalyze:
         for method in ("proposed", "naive", "adhoc"):
             result = analyze(system_file, method=method)
             assert set(result.verdicts) == {"hi", "lo"}
-        fast = analyze(system_file, backend="fast", fast_path=True)
+        fast = analyze(system_file, backend="fast", fast_path=FastPathConfig())
         assert fast == analyze(system_file)
 
     def test_requires_mapping(self, tmp_path, apps, architecture):

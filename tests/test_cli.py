@@ -38,8 +38,8 @@ class TestAnalyze:
 
     def test_policy_and_bus_flags(self, system_file, capsys):
         code = main(
-            ["analyze", system_file, "--policy", "edf", "--bus-contention",
-             "--dropped", "lo"]
+            ["analyze", system_file, "--policy", "edf",
+             "--comm-backend", "bus-jobs", "--dropped", "lo"]
         )
         assert code in (0, 1)
         assert "hi" in capsys.readouterr().out
@@ -103,6 +103,21 @@ class TestAnalyze:
         code = main(["analyze", unmapped_system_file])
         assert code == 2
         assert "no mapping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["analyze", "{system}", "--bus-contention"],
+            ["analyze", "{system}", "--no-fast-path"],
+            ["submit", "analyze", "{system}", "--bus-contention"],
+        ),
+        ids=("analyze-bus-contention", "analyze-no-fast-path", "submit"),
+    )
+    def test_removed_flags_exit_2(self, system_file, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(system=system_file) for arg in argv])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -262,3 +277,37 @@ class TestExportAndGenerate:
         bundle = load_system(out)
         assert len(bundle.architecture) == 4
         assert len(bundle.applications) == 4
+
+
+class TestClosedStdout:
+    """A reader that stops early (``| head``) ends the command quietly."""
+
+    @pytest.mark.parametrize("command", ("trace-summarize", "analyze"))
+    def test_closed_read_end_exits_without_traceback(
+        self, system_file, tmp_path, command
+    ):
+        import os
+        import subprocess
+        import sys
+
+        trace = tmp_path / "trace.jsonl"
+        assert main(["analyze", system_file, "--trace-out", str(trace)]) in (
+            0, 1,
+        )
+        argv = {
+            "trace-summarize": ["trace", "summarize", str(trace), "--top", "500"],
+            "analyze": ["analyze", system_file],
+        }[command]
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        process.stdout.close()  # before the child writes a byte
+        stderr = process.stderr.read().decode()
+        process.stderr.close()
+        assert process.wait(timeout=120) == 141
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr

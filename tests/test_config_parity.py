@@ -178,3 +178,146 @@ class TestConstructionPath:
             IslandTopology(kind="mesh")
         with pytest.raises(ReproError):
             ExploreRequest.from_options("cruise", backend="bogus")
+
+
+#: Front doors that take a ``--backend`` flag, as argv prefixes.
+_CLI_DOORS = (
+    ["analyze", "system.json"],
+    ["explore", "cruise"],
+    ["submit", "analyze", "cruise"],
+    ["submit", "explore", "cruise"],
+)
+
+#: Digests of the default served bodies, recorded before the back-end
+#: names moved into one table; every spelling must keep producing them.
+_DEFAULT_ANALYZE_DIGEST = (
+    "f35118cec9164a15e914d664f18844ff4b4a522a10c5915eb6ef2d0c6d18e398"
+)
+_DEFAULT_EXPLORE_DIGEST = (
+    "3392a004bc5862835accbdb105e7535184752bfec8f5530d887c3da49a2d1ebc"
+)
+
+
+def _served_analyze(backend):
+    from repro.serve.encoding import parse_analyze_request
+
+    body = {"system": "cruise"}
+    if backend is not None:
+        body["backend"] = backend
+    return parse_analyze_request(body)
+
+
+def _served_explore(backend):
+    body = {"system": "cruise"}
+    if backend is not None:
+        body["backend"] = backend
+    return parse_explore_request(body)
+
+
+class TestBackendNameTable:
+    """One table of sched back-end names, shared by every front door."""
+
+    def _doors(self):
+        from repro.core import make_backend, make_dse_evaluator
+        from repro.suites import get_benchmark
+
+        problem = get_benchmark("cruise").problem
+
+        def cli(prefix, then):
+            return lambda name: then(
+                build_parser().parse_args([*prefix, "--backend", name])
+            )
+
+        # Each CLI door up to where its name is resolved: the analysis
+        # factory, the ExploreRequest, or the server's parser.
+        analyze, explore, submit_analyze, submit_explore = _CLI_DOORS
+        doors = {
+            "cli analyze": cli(
+                analyze, lambda args: type(make_backend(args.backend))
+            ),
+            "cli explore": cli(
+                explore, lambda args: _explore_request_from_args(args).backend
+            ),
+            "cli submit analyze": cli(
+                submit_analyze,
+                lambda args: _served_analyze(args.backend)["backend"],
+            ),
+            "cli submit explore": cli(
+                submit_explore,
+                lambda args: _served_explore(args.backend)["backend"],
+            ),
+        }
+        doors["served analyze"] = lambda name: _served_analyze(name)["backend"]
+        doors["served explore"] = lambda name: _served_explore(name)["backend"]
+        doors["ExploreRequest"] = lambda name: ExploreRequest.from_options(
+            "cruise", backend=name
+        ).backend
+        doors["make_backend"] = lambda name: type(make_backend(name))
+        doors["make_dse_evaluator"] = lambda name: type(
+            make_dse_evaluator(problem, name)._analysis._backend
+        )
+        return doors
+
+    def test_every_front_door_accepts_exactly_the_table(self, capsys):
+        from repro.core.factory import SCHED_BACKENDS
+
+        for door, resolve in self._doors().items():
+            for name in SCHED_BACKENDS:
+                resolve(name)
+            for bogus in ("quantum", "Window", "fast-window"):
+                with pytest.raises((ReproError, SystemExit)):
+                    resolve(bogus)
+                    pytest.fail(f"{door} accepted {bogus!r}")
+        capsys.readouterr()
+
+    def test_window_fast_and_omitted_resolve_alike(self):
+        from repro.core.factory import DEFAULT_BACKEND, backend_token
+
+        for door, resolve in self._doors().items():
+            resolved = {resolve("window"), resolve("fast")}
+            assert len(resolved) == 1, door
+        for prefix in _CLI_DOORS:
+            default = build_parser().parse_args(prefix).backend
+            assert default == DEFAULT_BACKEND
+            assert backend_token(default) is None
+        assert _served_analyze(None)["backend"] is None
+        assert _served_explore(None)["backend"] == "fast"
+        assert ExploreRequest.from_options("cruise").backend == "fast"
+        assert _served_analyze("holistic")["backend"] == "holistic"
+
+    @pytest.mark.parametrize("backend", (None, "window", "fast"))
+    def test_default_digests_unchanged(self, backend):
+        assert request_digest("analyze", _served_analyze(backend)) == (
+            _DEFAULT_ANALYZE_DIGEST
+        )
+        assert request_digest("explore", _served_explore(backend)) == (
+            _DEFAULT_EXPLORE_DIGEST
+        )
+
+    @pytest.mark.parametrize("backend", ("fast", "window"))
+    def test_parent_job_record_resumes(self, tmp_path, backend):
+        """A job record that spells its back-end as older servers wrote
+        it is requeued and runs to completion."""
+        import json
+        import time
+
+        from repro.serve.jobs import Job, JobStore
+
+        params = parse_explore_request(
+            {"system": "cruise", "generations": 1, "population": 4}
+        )
+        params["backend"] = backend
+        job = Job(id="job-parent", params=params, status="running",
+                  created=time.time())
+        path = tmp_path / job.id / "job.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(job.to_dict(with_result=True), sort_keys=True))
+        store = JobStore(tmp_path, workers=1)
+        try:
+            assert store.recover() == [job.id]
+            assert store.wait_idle(timeout=120.0)
+            record = store.get(job.id)
+            assert record.status == "done", record.error
+            assert explore_request_from_params(record.params).backend == "fast"
+        finally:
+            store.shutdown()
