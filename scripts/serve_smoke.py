@@ -4,7 +4,7 @@ Drives a real server subprocess through the full surface:
 
 1. health + metrics endpoints;
 2. served analyze byte-identical to `repro.api.analyze` on every
-   built-in suite;
+   built-in suite, and a 400 for malformed systems;
 3. a 100-request concurrent mixed load (analyze/simulate, with
    duplicates): zero errors, dedup hits observed, queue depth bounded;
 4. explore job lifecycle: submit, poll, cancel;
@@ -114,6 +114,26 @@ def check_byte_identity(client: ServeClient) -> None:
         direct = canonical_bytes(analysis_result_to_dict(analyze(mapped)))
         assert served == direct, f"served {name} differs from repro.api.analyze"
     print(f"ok: byte-identical to the facade on {len(benchmark_names())} suites")
+
+
+def check_malformed_system(client: ServeClient) -> None:
+    """Malformed systems and unsupported format versions get a 400."""
+    bad_version = bundle_to_payload(mapped_suite("cruise"))
+    bad_version["format_version"] = 99
+    for system in (
+        {"applications": [], "architecture": {}},
+        {"applications": {"graphs": [{"name": "a"}]}, "architecture": {}},
+        bad_version,
+    ):
+        for send in (client.analyze_raw, client.simulate_raw):
+            try:
+                send(system)
+            except ServeError as error:
+                assert error.status == 400, f"got {error.status}: {error}"
+                assert error.error_type == "ModelError", error.error_type
+            else:
+                raise AssertionError("malformed system was accepted")
+    print("ok: malformed systems get 400 naming the bad field")
 
 
 def check_load(client: ServeClient) -> None:
@@ -424,6 +444,7 @@ def main(argv=None) -> int:
         assert health["status"] == "ok"
         print(f"ok: healthy on port {port}")
         check_byte_identity(client)
+        check_malformed_system(client)
         check_load(client)
         check_job_cancel(client)
     except Exception:

@@ -22,25 +22,31 @@ Each function returns the *existing* result dataclasses —
 the deep modules keeps working and code written against the facade can
 drop down a layer when it needs to.
 
-``system`` arguments accept a :class:`~repro.model.serialization
-.SystemBundle`, a path to a system JSON file, or the name of a built-in
+Every ``system`` argument goes through :func:`load`, the one resolver
+of the four system sources: a :class:`~repro.model.serialization
+.SystemBundle`, an inline system-format dict, the name of a built-in
 benchmark suite (``cruise``, ``dt-med``, ``dt-large``, ``synth-1``,
-``synth-2``).
+``synth-2``), or a path to a system JSON file.
 """
 
+import os
 from pathlib import Path
-from typing import Iterable, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 from repro.comm import CommBackend
 from repro.core.analysis import MCAnalysisResult
 from repro.core.factory import make_analysis
 from repro.core.fastpath import FastPathConfig
-from repro.errors import ReproError
+from repro.errors import ModelError, ReproError
 from repro.hardening.spec import HardeningPlan
 from repro.hardening.transform import harden
 from repro.model.application import ApplicationSet
 from repro.model.mapping import Mapping
-from repro.model.serialization import SystemBundle, load_system
+from repro.model.serialization import (
+    SystemBundle,
+    bundle_from_payload,
+    load_system,
+)
 from repro.obs.trace import span
 from repro.sched.wcrt import SchedBackend
 
@@ -55,22 +61,32 @@ __all__ = [
     "cache_clear",
 ]
 
-SystemLike = Union[str, Path, SystemBundle]
+SystemLike = Union[SystemBundle, Dict[str, Any], str, "os.PathLike[str]"]
 
 #: Accepted drop-set spellings: an iterable of names or one
 #: comma-separated string (the CLI's ``--dropped`` syntax).
 DroppedLike = Union[str, Iterable[str]]
 
 
-def load(source: SystemLike) -> SystemBundle:
-    """A system bundle from a JSON file, a suite name, or pass-through.
+def load(source: SystemLike, allow_paths: bool = True) -> SystemBundle:
+    """The one resolver of a system source (see ``docs/api.md``).
 
-    Built-in suite names resolve to a fresh benchmark instance (no
-    mapping, no plan — ``explore`` finds those); anything else is read as
-    a path written by :func:`repro.model.serialization.save_system`.
+    A :class:`SystemBundle` is returned untouched, an inline dict goes
+    through :func:`~repro.model.serialization.bundle_from_payload`, a
+    built-in suite name gives a fresh benchmark instance (no mapping, no
+    plan) and anything else is read as a system file.  With
+    ``allow_paths=False`` (the server default) a non-suite string is
+    refused with one error whether or not the file exists.
     """
     if isinstance(source, SystemBundle):
         return source
+    if isinstance(source, dict):
+        return bundle_from_payload(source)
+    if not isinstance(source, (str, os.PathLike)):
+        raise ModelError(
+            f"system must be a SystemBundle, an inline system object, a "
+            f"suite name or a path, got {type(source).__name__}"
+        )
     from repro.suites import benchmark_names, get_benchmark
 
     if isinstance(source, str) and source in benchmark_names():
@@ -80,6 +96,13 @@ def load(source: SystemLike) -> SystemBundle:
             architecture=benchmark.problem.architecture,
             mapping=None,
             plan=None,
+        )
+    if not allow_paths:
+        raise ReproError(
+            f"unknown suite {str(source)!r}; known suites: "
+            f"{', '.join(sorted(benchmark_names()))}. Server-local file "
+            f"paths are disabled (start the server with "
+            f"--allow-local-paths to accept them)"
         )
     return load_system(source)
 
@@ -159,6 +182,37 @@ def _apply_comm_overrides(
     )
 
 
+def _prepare(
+    system: SystemLike,
+    mapping: Optional[Mapping] = None,
+    plan: Optional[HardeningPlan] = None,
+    dropped: DroppedLike = (),
+    comm_backend: Optional[str] = None,
+    comm_arq: Optional[int] = None,
+    comm_arq_timeout: Optional[float] = None,
+) -> Tuple[SystemBundle, ApplicationSet, Tuple[str, ...]]:
+    """Load a mapped system: ``(bundle, T', drop set)``.
+
+    The bundle carries the resolved mapping and plan (``mapping``/``plan``
+    default to its own; no plan means unhardened) and the ``--comm-*``
+    overrides; ``T'`` is the plan applied and the drop set is validated.
+    Shared by :func:`analyze`, :func:`simulate` and ``repro margins``.
+    """
+    bundle = _apply_comm_overrides(
+        load(system), comm_backend, comm_arq, comm_arq_timeout
+    )
+    mapping = mapping if mapping is not None else bundle.mapping
+    if mapping is None:
+        label = system if isinstance(system, str) else "system"
+        raise ReproError(f"{label} carries no mapping; add one or run explore")
+    plan = plan if plan is not None else (bundle.plan or HardeningPlan())
+    return (
+        SystemBundle(bundle.applications, bundle.architecture, mapping, plan),
+        harden(bundle.applications, plan),
+        validate_dropped(bundle.applications, dropped),
+    )
+
+
 def analyze(
     system: SystemLike,
     *,
@@ -189,18 +243,10 @@ def analyze(
     ready-made model/backend instance, which then wins outright.
     """
     with span("api.analyze", method=method, granularity=granularity):
-        bundle = load(system)
-        bundle = _apply_comm_overrides(
-            bundle, comm_backend, comm_arq, comm_arq_timeout
+        bundle, hardened, dropped = _prepare(
+            system, mapping, plan, dropped,
+            comm_backend, comm_arq, comm_arq_timeout,
         )
-        mapping = mapping if mapping is not None else bundle.mapping
-        if mapping is None:
-            raise ReproError(
-                "system carries no mapping; pass mapping=... or run explore()"
-            )
-        plan = plan if plan is not None else (bundle.plan or HardeningPlan())
-        hardened = harden(bundle.applications, plan)
-        drop_set = validate_dropped(bundle.applications, dropped)
         analysis = make_analysis(
             method=method,
             backend=backend,
@@ -210,7 +256,7 @@ def analyze(
             fast_path=fast_path,
         )
         return analysis.analyze(
-            hardened, bundle.architecture, mapping, drop_set
+            hardened, bundle.architecture, bundle.mapping, dropped
         )
 
 
@@ -243,21 +289,13 @@ def simulate(
     from repro.sim import BiasedSampler, MonteCarloEstimator, Simulator
 
     with span("api.simulate", profiles=profiles, policy=policy):
-        bundle = load(system)
-        bundle = _apply_comm_overrides(
-            bundle, comm_backend, comm_arq, comm_arq_timeout
+        bundle, hardened, dropped = _prepare(
+            system, mapping, plan, dropped,
+            comm_backend, comm_arq, comm_arq_timeout,
         )
-        mapping = mapping if mapping is not None else bundle.mapping
-        if mapping is None:
-            raise ReproError(
-                "system carries no mapping; pass mapping=... or run explore()"
-            )
-        plan = plan if plan is not None else (bundle.plan or HardeningPlan())
-        hardened = harden(bundle.applications, plan)
-        drop_set = validate_dropped(bundle.applications, dropped)
         simulator = Simulator(
-            hardened, bundle.architecture, mapping,
-            dropped=drop_set, policy=policy,
+            hardened, bundle.architecture, bundle.mapping,
+            dropped=dropped, policy=policy,
         )
         estimator = MonteCarloEstimator(
             simulator, sampler=BiasedSampler(worst_bias), max_faults=max_faults

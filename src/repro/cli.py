@@ -1,7 +1,8 @@
 """Command-line interface: ``python -m repro <command>``.
 
 Operates on JSON system files (written by
-:func:`repro.model.serialization.save_system` or ``repro export``):
+:func:`repro.model.serialization.save_system` or ``repro export``) or
+built-in suite names, both resolved by :func:`repro.api.load`:
 
 * ``analyze``  — WCRT analysis of a mapped system (proposed/naive/adhoc);
 * ``simulate`` — Monte-Carlo simulation campaign (WC-Sim);
@@ -41,41 +42,39 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.api import validate_dropped
+from repro import api
 from repro.benchgen.tgff import generate_problem
-from repro.core import FastPathConfig, make_analysis
+from repro.core import FastPathConfig
+from repro.core.analysis import analysis_result_to_dict
 from repro.core.factory import DEFAULT_BACKEND, SCHED_BACKENDS
 from repro.errors import ReproError
 from repro.hardening.spec import HardeningPlan
-from repro.hardening.transform import harden
-from repro.model.serialization import load_system, save_system
+from repro.model.serialization import (
+    bundle_to_payload,
+    load_system,
+    save_system,
+)
 from repro.obs.export import JsonlSpanExporter
 from repro.obs.logging import configure as configure_logging
 from repro.obs.logging import get_logger
 from repro.obs.metrics import metrics
 from repro.obs.trace import tracer
-from repro.sim import BiasedSampler, MonteCarloEstimator, Simulator
+from repro.sim.montecarlo import montecarlo_result_to_dict
 from repro.suites import benchmark_names, get_benchmark
 
 _LOG = get_logger("cli")
 
 
-def _load_mapped_system(args):
-    bundle = load_system(args.system)
-    if bundle.mapping is None:
+def _plan_arg(args) -> Optional[HardeningPlan]:
+    """The ``--plan`` file as a plan; ``None`` keeps the system's own."""
+    if not args.plan:
+        return None
+    try:
+        return HardeningPlan.from_dict(json.loads(Path(args.plan).read_text()))
+    except (OSError, ValueError, AttributeError, TypeError) as error:
         raise ReproError(
-            f"{args.system} carries no mapping; add one or use `repro explore`"
-        )
-    if args.plan:
-        plan = HardeningPlan.from_dict(json.loads(Path(args.plan).read_text()))
-    elif bundle.plan is not None:
-        plan = bundle.plan
-    else:
-        plan = HardeningPlan()
-    hardened = harden(bundle.applications, plan)
-    dropped = validate_dropped(bundle.applications, args.dropped or "")
-    architecture = _comm_overridden(bundle.architecture, args)
-    return hardened, architecture, bundle.mapping, dropped
+            f"cannot read plan file {args.plan!r}: {error}"
+        ) from None
 
 
 def _add_comm_flags(parser) -> None:
@@ -103,70 +102,82 @@ def _add_comm_flags(parser) -> None:
     )
 
 
-def _comm_overridden(architecture, args):
-    """Apply the ``--comm-backend``/``--comm-arq`` flags to the fabric."""
-    backend = getattr(args, "comm_backend", None)
-    arq = getattr(args, "comm_arq", None)
-    timeout = getattr(args, "comm_arq_timeout", None)
-    if backend is None and arq is None and timeout is None:
-        return architecture
-    from repro.comm import with_comm
-
-    return with_comm(
-        architecture, backend=backend, arq_retries=arq, arq_timeout=timeout
-    )
-
-
 def _cmd_analyze(args) -> int:
-    hardened, architecture, mapping, dropped = _load_mapped_system(args)
-    analysis = make_analysis(
+    result = api.analyze(
+        args.system,
         method=args.method,
         backend=args.backend,
         granularity=args.granularity,
+        dropped=args.dropped or "",
+        plan=_plan_arg(args),
         policy=args.policy,
+        comm_backend=args.comm_backend,
+        comm_arq=args.comm_arq,
+        comm_arq_timeout=args.comm_arq_timeout,
         # Memoization + warm starts change no reported number (prune
         # stays off), so the fast path is always on.
         fast_path=FastPathConfig(),
     )
-    result = analysis.analyze(hardened, architecture, mapping, dropped)
+    return _print_analysis(analysis_result_to_dict(result), args.method)
+
+
+def _print_analysis(result: dict, method: str) -> int:
+    """Print an analysis response dict; returns the command's exit code.
+
+    The one table of ``analyze`` and ``submit analyze``.  Rows follow
+    the order of ``result["verdicts"]``.
+    """
     print(f"{'application':>16} | {'wcrt':>10} | {'deadline':>9} | status")
     print("-" * 52)
-    for name, verdict in result.verdicts.items():
-        status = "dropped" if verdict.dropped else (
-            "ok" if verdict.meets_deadline else "MISS"
+    for name, verdict in result["verdicts"].items():
+        status = "dropped" if verdict["dropped"] else (
+            "ok" if verdict["meets_deadline"] else "MISS"
         )
         print(
-            f"{name:>16} | {verdict.wcrt:10.2f} | {verdict.deadline:9.1f} | {status}"
+            f"{name:>16} | {verdict['wcrt']:10.2f} | "
+            f"{verdict['deadline']:9.1f} | {status}"
         )
-    if args.method == "proposed":
-        print(f"\ntransitions analyzed: {result.transitions_analyzed}")
-    return 0 if result.schedulable else 1
+    if method == "proposed":
+        print(f"\ntransitions analyzed: {result['transitions_analyzed']}")
+    return 0 if result["schedulable"] else 1
 
 
 def _cmd_simulate(args) -> int:
-    hardened, architecture, mapping, dropped = _load_mapped_system(args)
-    simulator = Simulator(
-        hardened, architecture, mapping, dropped=dropped, policy=args.policy
+    result = api.simulate(
+        args.system,
+        profiles=args.profiles,
+        seed=args.seed,
+        dropped=args.dropped or "",
+        plan=_plan_arg(args),
+        policy=args.policy,
+        max_faults=args.max_faults,
+        worst_bias=args.worst_bias,
+        comm_backend=args.comm_backend,
+        comm_arq=args.comm_arq,
+        comm_arq_timeout=args.comm_arq_timeout,
     )
-    estimator = MonteCarloEstimator(
-        simulator, sampler=BiasedSampler(args.worst_bias), max_faults=args.max_faults
-    )
-    result = estimator.estimate(profiles=args.profiles, seed=args.seed)
+    return _print_simulation(montecarlo_result_to_dict(result))
+
+
+def _print_simulation(result: dict) -> int:
+    """Print a simulation response dict (``simulate``, ``submit simulate``)."""
     print(
         f"{'application':>16} | {'max resp':>9} | {'p99':>9} | {'mean':>9}"
     )
     print("-" * 54)
-    for graph, worst in sorted(result.worst_response.items()):
-        p99 = result.percentile(graph, 0.99)
-        mean = result.mean_response(graph)
-        print(f"{graph:>16} | {worst:9.2f} | {p99:9.2f} | {mean:9.2f}")
+    for graph in sorted(result["worst_response"]):
+        print(
+            f"{graph:>16} | {result['worst_response'][graph]:9.2f} | "
+            f"{result['p99_response'][graph]:9.2f} | "
+            f"{result['mean_response'][graph]:9.2f}"
+        )
     print(
-        f"\nprofiles: {result.profiles}, critical runs: {result.critical_runs}, "
-        f"runs with drops: {result.runs_with_drops}"
+        f"\nprofiles: {result['profiles']}, "
+        f"critical runs: {result['critical_runs']}, "
+        f"runs with drops: {result['runs_with_drops']}"
     )
-    if result.deadline_miss_runs:
-        for graph, count in sorted(result.deadline_miss_runs.items()):
-            print(f"deadline misses observed for {graph!r} in {count} run(s)")
+    for graph, count in sorted(result["deadline_miss_runs"].items()):
+        print(f"deadline misses observed for {graph!r} in {count} run(s)")
     return 0
 
 
@@ -238,7 +249,6 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from repro import api
     from repro.verify.campaign import replay_corpus
 
     if args.replay:
@@ -310,28 +320,20 @@ def _cmd_verify(args) -> int:
 def _cmd_margins(args) -> int:
     from repro.core.sensitivity import deadline_margins, wcet_scaling_margin
 
-    bundle = load_system(args.system)
-    if bundle.mapping is None:
-        raise ReproError(f"{args.system} carries no mapping")
-    plan = bundle.plan or HardeningPlan()
-    if args.plan:
-        plan = HardeningPlan.from_dict(json.loads(Path(args.plan).read_text()))
-    dropped = validate_dropped(bundle.applications, args.dropped or "")
-
+    bundle, _hardened, dropped = api._prepare(
+        args.system, plan=_plan_arg(args), dropped=args.dropped or ""
+    )
     margins = deadline_margins(
-        bundle.applications, plan, bundle.architecture, bundle.mapping, dropped
+        bundle.applications, bundle.plan, bundle.architecture,
+        bundle.mapping, dropped,
     )
     print(f"{'application':>16} | {'deadline margin':>15}")
     print("-" * 36)
     for name, margin in sorted(margins.items()):
         print(f"{name:>16} | {margin:15.2f}")
     scaling = wcet_scaling_margin(
-        bundle.applications,
-        plan,
-        bundle.architecture,
-        bundle.mapping,
-        dropped,
-        tolerance=args.tolerance,
+        bundle.applications, bundle.plan, bundle.architecture,
+        bundle.mapping, dropped, tolerance=args.tolerance,
     )
     print("\nuniform WCET scaling margin: " + f"{scaling:.2f}x")
     return 0 if scaling > 0 else 1
@@ -531,12 +533,11 @@ def _cmd_chaos(args) -> int:
 def _submit_system(spec: str):
     """A ``repro submit`` system argument as the request's system field.
 
-    A readable local file is inlined (self-contained request); anything
-    else passes through as a suite name or server-local path.
+    A readable local file is read and inlined (self-contained request);
+    anything else passes through as a suite name or server-local path.
     """
-    path = Path(spec)
-    if path.is_file():
-        return json.loads(path.read_text())
+    if Path(spec).is_file():
+        return bundle_to_payload(load_system(spec))
     return spec
 
 
@@ -567,18 +568,7 @@ def _cmd_submit_analyze(args) -> int:
     if args.deadline is not None:
         params["deadline_seconds"] = args.deadline
     result = client.analyze(_submit_system(args.system), **params)
-    print(f"{'application':>16} | {'wcrt':>10} | {'deadline':>9} | status")
-    print("-" * 52)
-    for name, verdict in sorted(result["verdicts"].items()):
-        status = "dropped" if verdict["dropped"] else (
-            "ok" if verdict["meets_deadline"] else "MISS"
-        )
-        print(
-            f"{name:>16} | {verdict['wcrt']:10.2f} | "
-            f"{verdict['deadline']:9.1f} | {status}"
-        )
-    print(f"\ntransitions analyzed: {result['transitions_analyzed']}")
-    return 0 if result["schedulable"] else 1
+    return _print_analysis(result, args.method)
 
 
 def _cmd_submit_simulate(args) -> int:
@@ -595,20 +585,7 @@ def _cmd_submit_simulate(args) -> int:
     if args.deadline is not None:
         params["deadline_seconds"] = args.deadline
     result = client.simulate(_submit_system(args.system), **params)
-    print(f"{'application':>16} | {'max resp':>9} | {'p99':>9} | {'mean':>9}")
-    print("-" * 54)
-    for graph in sorted(result["worst_response"]):
-        print(
-            f"{graph:>16} | {result['worst_response'][graph]:9.2f} | "
-            f"{result['p99_response'][graph]:9.2f} | "
-            f"{result['mean_response'][graph]:9.2f}"
-        )
-    print(
-        f"\nprofiles: {result['profiles']}, "
-        f"critical runs: {result['critical_runs']}, "
-        f"runs with drops: {result['runs_with_drops']}"
-    )
-    return 0
+    return _print_simulation(result)
 
 
 def _cmd_submit_explore(args) -> int:
@@ -722,6 +699,9 @@ def observability_options() -> argparse.ArgumentParser:
     return common
 
 
+_MAPPED_SYSTEM_HELP = "system JSON path or suite name (must carry a mapping)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -734,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser(
         "analyze", help="WCRT analysis of a mapped system", parents=obs
     )
-    analyze.add_argument("system", help="system JSON (applications+architecture+mapping)")
+    analyze.add_argument("system", help=_MAPPED_SYSTEM_HELP)
     analyze.add_argument("--plan", help="hardening plan JSON")
     analyze.add_argument("--dropped", help="comma-separated dropped applications")
     analyze.add_argument(
@@ -755,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser(
         "simulate", help="Monte-Carlo simulation campaign", parents=obs
     )
-    simulate.add_argument("system")
+    simulate.add_argument("system", help=_MAPPED_SYSTEM_HELP)
     simulate.add_argument("--plan", help="hardening plan JSON")
     simulate.add_argument("--dropped", help="comma-separated dropped applications")
     simulate.add_argument("--profiles", type=int, default=500)
@@ -877,7 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="deadline and WCET-scaling sensitivity of a design",
         parents=obs,
     )
-    margins.add_argument("system")
+    margins.add_argument("system", help=_MAPPED_SYSTEM_HELP)
     margins.add_argument("--plan", help="hardening plan JSON")
     margins.add_argument("--dropped", help="comma-separated dropped applications")
     margins.add_argument("--tolerance", type=float, default=0.05)

@@ -42,7 +42,7 @@ that trigger.
 """
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,6 +133,46 @@ class MCAnalysisResult:
             return self.verdicts[graph_name].wcrt
         except KeyError:
             raise AnalysisError(f"no verdict for graph {graph_name!r}") from None
+
+
+def _transition_to_dict(transition: TransitionInfo) -> Dict[str, Any]:
+    return {
+        "trigger_primary": transition.trigger_primary,
+        "trigger_kind": transition.trigger_kind.value,
+        "instance": transition.instance,
+        "min_start": transition.min_start,
+        "max_finish": transition.max_finish,
+        "wcrt": dict(transition.wcrt),
+    }
+
+
+def analysis_result_to_dict(result: MCAnalysisResult) -> Dict[str, Any]:
+    """A :class:`MCAnalysisResult` as a JSON-friendly dict.
+
+    Transition order is preserved as a list (it carries the fold order of
+    Algorithm 1); everything keyed by name sorts deterministically
+    through the canonical encoder.
+    """
+    return {
+        "kind": "analysis",
+        "schedulable": result.schedulable,
+        "granularity": result.granularity,
+        "transitions_analyzed": result.transitions_analyzed,
+        "transitions_pruned": result.transitions_pruned,
+        "verdicts": {
+            name: {
+                "wcrt": verdict.wcrt,
+                "normal_wcrt": verdict.normal_wcrt,
+                "deadline": verdict.deadline,
+                "dropped": verdict.dropped,
+                "meets_deadline": verdict.meets_deadline,
+                "worst_transition": verdict.worst_transition,
+            }
+            for name, verdict in result.verdicts.items()
+        },
+        "transitions": [_transition_to_dict(t) for t in result.transitions],
+        "task_completion": dict(result.task_completion),
+    }
 
 
 class MixedCriticalityAnalysis:

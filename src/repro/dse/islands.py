@@ -49,6 +49,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.api import load
 from repro.core.factory import make_dse_evaluator
 from repro.core.problem import Problem
 from repro.dse.checkpoint import (
@@ -66,6 +67,7 @@ from repro.dse.results import (
 )
 from repro.dse.spea2 import Spea2Selector, pareto_filter
 from repro.errors import ExplorationError
+from repro.model.serialization import bundle_from_payload, bundle_to_payload
 from repro.obs.logging import get_logger, kv
 from repro.obs.metrics import metrics
 from repro.obs.trace import SpanContext, activate, capture_context, event
@@ -279,8 +281,6 @@ def _epoch_spec(
 
 def _epoch_main(spec: Dict[str, Any]) -> None:
     """Worker-process entry point: decode the spec, run the epoch."""
-    from repro.serve.encoding import bundle_from_payload
-
     index = spec["index"]
     island = _island_dir(spec["state_dir"], index)
     try:
@@ -787,9 +787,7 @@ class _Coordinator:
 
 
 def _shard_problem(request: ExploreRequest) -> Tuple[Problem, Dict[str, Any]]:
-    from repro.serve.encoding import bundle_to_payload
-
-    bundle = _resolve_bundle(request.system)
+    bundle = load(request.system)
     problem = Problem(
         applications=bundle.applications, architecture=bundle.architecture
     )
@@ -917,20 +915,6 @@ def _run_via_fleet(
 # ---------------------------------------------------------------------------
 
 
-def _resolve_bundle(system: Any):
-    from repro.model.serialization import SystemBundle
-
-    if isinstance(system, SystemBundle):
-        return system
-    if isinstance(system, dict):
-        from repro.serve.encoding import bundle_from_payload
-
-        return bundle_from_payload(system)
-    from repro.api import load
-
-    return load(system)
-
-
 def run_explore(
     request: ExploreRequest,
     *,
@@ -959,7 +943,7 @@ def run_explore(
         raise ExplorationError("execution='serve' requires a fleet URL")
 
     topology = request.topology.normalized()
-    bundle = _resolve_bundle(request.system)
+    bundle = load(request.system)
     problem = Problem(
         applications=bundle.applications, architecture=bundle.architecture
     )
@@ -975,8 +959,6 @@ def run_explore(
         finally:
             if explorer.quarantine is not None:
                 explorer.quarantine.close()
-
-    from repro.serve.encoding import bundle_to_payload
 
     payload = bundle_to_payload(bundle)
     if execution == "serve":

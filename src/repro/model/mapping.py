@@ -1,6 +1,6 @@
 """Task-to-processor mapping ``map : V -> P`` (paper §2.3)."""
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping as TMapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping as TMapping, Optional, Tuple
 
 from repro.errors import MappingError
 from repro.model.application import ApplicationSet
@@ -59,20 +59,10 @@ class Mapping:
     # Queries
     # ------------------------------------------------------------------
 
-    def tasks_on(self, processor_name: str) -> List[str]:
-        """Names of all tasks mapped on a processor, sorted."""
-        return sorted(
-            task for task, pe in self._assignment.items() if pe == processor_name
-        )
-
     @property
     def used_processors(self) -> FrozenSet[str]:
         """Processors that host at least one task."""
         return frozenset(self._assignment.values())
-
-    def co_located(self, task_a: str, task_b: str) -> bool:
-        """Whether two tasks share a processor."""
-        return self[task_a] == self[task_b]
 
     # ------------------------------------------------------------------
     # Derivation
@@ -83,13 +73,6 @@ class Mapping:
         updated = dict(self._assignment)
         updated[task_name] = processor_name
         return Mapping(updated)
-
-    def restricted_to(self, task_names: Iterable[str]) -> "Mapping":
-        """Return a copy containing only the named tasks."""
-        names = set(task_names)
-        return Mapping(
-            {task: pe for task, pe in self._assignment.items() if task in names}
-        )
 
     # ------------------------------------------------------------------
     # Validation

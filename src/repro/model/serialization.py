@@ -232,6 +232,71 @@ class SystemBundle(NamedTuple):
     plan: Optional["HardeningPlan"]
 
 
+def bundle_to_payload(bundle: SystemBundle) -> Dict[str, Any]:
+    """A :class:`SystemBundle` as the system-format dict.
+
+    The one writer of the format: :func:`save_system` writes this dict
+    to a file, the serving layer inlines it into requests.
+    """
+    payload: Dict[str, Any] = {
+        "format_version": FORMAT_VERSION,
+        "applications": application_set_to_dict(bundle.applications),
+        "architecture": architecture_to_dict(bundle.architecture),
+    }
+    if bundle.mapping is not None:
+        payload["mapping"] = mapping_to_dict(bundle.mapping)
+    if bundle.plan is not None:
+        payload["hardening_plan"] = bundle.plan.to_dict()
+    return payload
+
+
+def bundle_from_payload(payload: Any) -> SystemBundle:
+    """Inverse of :func:`bundle_to_payload`: the one reader of the format.
+
+    Raises :class:`~repro.errors.ModelError` naming the bad field for a
+    non-object payload, an unsupported ``format_version``, a missing
+    ``applications``/``architecture`` section, or a malformed section.
+    """
+    from repro.hardening.spec import HardeningPlan
+
+    if not isinstance(payload, dict):
+        raise ModelError(
+            f"system must be a JSON object, got {type(payload).__name__}"
+        )
+    _check_version(payload)
+    for field in ("applications", "architecture"):
+        if field not in payload:
+            raise ModelError(f"system lacks the {field!r} section")
+    return SystemBundle(
+        _section(payload, "applications", application_set_from_dict),
+        _section(payload, "architecture", architecture_from_dict),
+        _section(payload, "mapping", mapping_from_dict),
+        _section(payload, "hardening_plan", HardeningPlan.from_dict),
+    )
+
+
+def _section(payload: Dict[str, Any], field: str, parse) -> Any:
+    """Parse one top-level section (``None`` when absent).
+
+    Structural faults inside it raise a :class:`ModelError` naming it.
+    """
+    if field not in payload:
+        return None
+    data = payload[field]
+    try:
+        if not isinstance(data, dict):
+            raise TypeError(f"expected an object, got {type(data).__name__}")
+        return parse(data)
+    except KeyError as error:
+        raise ModelError(
+            f"system section {field!r} lacks the key {error.args[0]!r}"
+        ) from None
+    except (AttributeError, TypeError, ValueError) as error:
+        raise ModelError(
+            f"system section {field!r} is malformed: {error}"
+        ) from None
+
+
 def save_system(
     path: Union[str, Path],
     applications: ApplicationSet,
@@ -245,33 +310,25 @@ def save_system(
     the hardening decisions via ``plan`` so they can be re-applied on
     load (re-execution is invisible in the graph topology).
     """
-    payload: Dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "applications": application_set_to_dict(applications),
-        "architecture": architecture_to_dict(architecture),
-    }
-    if mapping is not None:
-        payload["mapping"] = mapping_to_dict(mapping)
-    if plan is not None:
-        payload["hardening_plan"] = plan.to_dict()
+    payload = bundle_to_payload(
+        SystemBundle(applications, architecture, mapping, plan)
+    )
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def load_system(path: Union[str, Path]) -> SystemBundle:
     """Read a system bundle previously written by :func:`save_system`."""
-    from repro.hardening.spec import HardeningPlan
-
-    payload = json.loads(Path(path).read_text())
-    _check_version(payload)
-    applications = application_set_from_dict(payload["applications"])
-    architecture = architecture_from_dict(payload["architecture"])
-    mapping = None
-    if "mapping" in payload:
-        mapping = mapping_from_dict(payload["mapping"])
-    plan = None
-    if "hardening_plan" in payload:
-        plan = HardeningPlan.from_dict(payload["hardening_plan"])
-    return SystemBundle(applications, architecture, mapping, plan)
+    try:
+        payload = json.loads(Path(path).read_text())
+    except OSError as error:
+        raise ModelError(
+            f"cannot read system file {str(path)!r}: {error.strerror or error}"
+        ) from None
+    except ValueError as error:
+        raise ModelError(
+            f"system file {str(path)!r} is not valid JSON: {error}"
+        ) from None
+    return bundle_from_payload(payload)
 
 
 def _check_version(data: Dict[str, Any]) -> None:

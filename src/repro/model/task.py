@@ -94,11 +94,6 @@ class Task:
         if self.role is not TaskRole.PRIMARY and not self.origin:
             raise ModelError(f"task {self.name!r}: {self.role.value} tasks require origin")
 
-    @property
-    def primary_name(self) -> str:
-        """Name of the primary task this task derives from (itself if primary)."""
-        return self.origin if self.origin is not None else self.name
-
     def with_times(self, bcet: float, wcet: float) -> "Task":
         """Return a copy with new execution-time bounds."""
         return replace(self, bcet=bcet, wcet=wcet)

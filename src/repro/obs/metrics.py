@@ -11,8 +11,7 @@ systems):
   below the cost of the instrumented operations (a ``sched()`` back-end
   run is milliseconds, a lock bounce ~100 ns);
 * **machine-readable export** — :meth:`MetricsRegistry.snapshot` gives a
-  plain dict, :meth:`MetricsRegistry.write_json` /
-  :meth:`MetricsRegistry.jsonl_lines` serialize it.
+  plain dict, :meth:`MetricsRegistry.write_json` serializes it.
 
 The registry is deliberately *not* reset between runs: like a process
 metrics endpoint, values accumulate until :meth:`MetricsRegistry.reset`
@@ -498,15 +497,6 @@ class MetricsRegistry:
                 yield f"{metric}_sum {_prometheus_value(instrument.total)}"
                 yield f"{metric}_count {instrument.count}"
 
-    def jsonl_lines(self) -> Iterator[str]:
-        """One JSON object per instrument (JSONL export)."""
-        with self._lock:
-            items = sorted(self._instruments.items())
-        for name, instrument in items:
-            payload = {"name": name}
-            payload.update(instrument.as_dict())
-            yield json.dumps(payload, sort_keys=True)
-
     def write_json(self, path, extra: Optional[dict] = None) -> None:
         """Write the snapshot (merged with ``extra``) as a JSON file."""
         payload = dict(extra or {})
@@ -514,13 +504,6 @@ class MetricsRegistry:
         with open(path, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
-
-    def write_jsonl(self, path) -> None:
-        """Write one JSON line per instrument."""
-        with open(path, "w") as handle:
-            for line in self.jsonl_lines():
-                handle.write(line + "\n")
-
 
 #: The process-wide registry every repro subsystem records into.
 _GLOBAL = MetricsRegistry(

@@ -53,6 +53,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs
 
 from repro.errors import ReproError
+from repro.model.serialization import SystemBundle
 from repro.obs.logging import get_logger, kv
 from repro.obs.metrics import metrics
 from repro.obs.trace import (
@@ -163,7 +164,7 @@ class ServeConfig:
         self.aging_seconds = aging_seconds
 
 
-def _run_in_context(ctx, fn: Callable[[Dict[str, Any]], bytes], params) -> bytes:
+def _run_in_context(ctx, fn: Callable[..., bytes], params, bundle) -> bytes:
     """Run one request body under the submitting request's trace context.
 
     The computation executes on a pool worker thread; ``ctx`` was
@@ -173,11 +174,14 @@ def _run_in_context(ctx, fn: Callable[[Dict[str, Any]], bytes], params) -> bytes
     attributed to the trace that actually ran it.
     """
     with activate(ctx):
-        return fn(params)
+        return fn(params, bundle)
 
 
-def _run_analyze(params: Dict[str, Any]) -> bytes:
+def _run_analyze(params: Dict[str, Any], bundle: SystemBundle) -> bytes:
     """Execute one analyze request; returns the canonical response body.
+
+    ``bundle`` is the system :func:`parse_analyze_request` built on the
+    request thread; ``params`` are its canonical parameters.
 
     Runs through :func:`repro.api.analyze` with the *shared* fast path:
     memoization + warm starts against the process-wide schedule cache,
@@ -187,9 +191,7 @@ def _run_analyze(params: Dict[str, Any]) -> bytes:
     """
     from repro.api import analyze
     from repro.core.fastpath import FastPathConfig
-    from repro.serve.encoding import bundle_from_payload
 
-    bundle = bundle_from_payload(params["system"])
     result = analyze(
         bundle,
         method=params["method"],
@@ -204,7 +206,9 @@ def _run_analyze(params: Dict[str, Any]) -> bytes:
     return canonical_bytes(analysis_result_to_dict(result))
 
 
-def _run_analyze_degraded(params: Dict[str, Any]) -> bytes:
+def _run_analyze_degraded(
+    params: Dict[str, Any], bundle: SystemBundle
+) -> bytes:
     """Brownout fallback: bounded window analysis, honestly marked.
 
     Forces the default window back-end with no shared fast path, so a
@@ -215,9 +219,7 @@ def _run_analyze_degraded(params: Dict[str, Any]) -> bytes:
     """
     from repro.api import analyze
     from repro.core.factory import DEFAULT_BACKEND
-    from repro.serve.encoding import bundle_from_payload
 
-    bundle = bundle_from_payload(params["system"])
     result = analyze(
         bundle,
         method="proposed",
@@ -232,12 +234,10 @@ def _run_analyze_degraded(params: Dict[str, Any]) -> bytes:
     return canonical_bytes(payload)
 
 
-def _run_simulate(params: Dict[str, Any]) -> bytes:
+def _run_simulate(params: Dict[str, Any], bundle: SystemBundle) -> bytes:
     """Execute one simulate request; returns the canonical response body."""
     from repro.api import simulate
-    from repro.serve.encoding import bundle_from_payload
 
-    bundle = bundle_from_payload(params["system"])
     result = simulate(
         bundle,
         profiles=params["profiles"],
@@ -528,19 +528,22 @@ class ReproServer:
         endpoint: str,
         payload: Dict[str, Any],
         admission: Optional[AdmissionContext],
-    ) -> AdmissionContext:
-        """Fold body admission fields into the context and admit.
+        parse: Callable[..., Any],
+    ) -> Tuple[AdmissionContext, Any]:
+        """Admit, then parse; returns the context and the parse.
 
         Body fields (``criticality``/``client``) are *popped* from the
         payload before canonical parsing, so admission metadata can
         never split the dedup digest of an otherwise identical request.
-        Raises the typed rejections mapped by ``_dispatch`` (400 / 429 /
-        503 / 504).
+        ``parse`` resolves the system exactly once, on the request
+        thread, so a malformed body gets its 400 before it can take a
+        worker.  Raises the typed rejections mapped by ``_dispatch``
+        (400 / 429 / 503 / 504).
         """
         ctx = admission if admission is not None else AdmissionContext()
         ctx.absorb_body_fields(payload)
         ctx.decision = self.admission.admit(endpoint, ctx)
-        return ctx
+        return ctx, parse(payload, allow_paths=self.config.allow_local_paths)
 
     def handle_analyze(
         self,
@@ -548,9 +551,8 @@ class ReproServer:
         admission: Optional[AdmissionContext] = None,
     ) -> Tuple[int, bytes]:
         self._shed_if_draining()
-        actx = self._admit("analyze", payload, admission)
-        params = parse_analyze_request(
-            payload, allow_paths=self.config.allow_local_paths
+        actx, (params, bundle) = self._admit(
+            "analyze", payload, admission, parse_analyze_request
         )
         deadline = actx.merged_deadline(params["deadline_seconds"])
         if actx.decision.degraded:
@@ -564,7 +566,7 @@ class ReproServer:
         ctx = capture_context()
         entry = self.batcher.submit(
             key,
-            lambda: _run_in_context(ctx, run, params),
+            lambda: _run_in_context(ctx, run, params, bundle),
             deadline_seconds=deadline,
             priority=actx.decision.priority,
         )
@@ -577,16 +579,15 @@ class ReproServer:
         admission: Optional[AdmissionContext] = None,
     ) -> Tuple[int, bytes]:
         self._shed_if_draining()
-        actx = self._admit("simulate", payload, admission)
-        params = parse_simulate_request(
-            payload, allow_paths=self.config.allow_local_paths
+        actx, (params, bundle) = self._admit(
+            "simulate", payload, admission, parse_simulate_request
         )
         deadline = actx.merged_deadline(params["deadline_seconds"])
         key = request_digest("simulate", params)
         ctx = capture_context()
         entry = self.batcher.submit(
             key,
-            lambda: _run_in_context(ctx, _run_simulate, params),
+            lambda: _run_in_context(ctx, _run_simulate, params, bundle),
             deadline_seconds=deadline,
             priority=actx.decision.priority,
         )
@@ -604,9 +605,8 @@ class ReproServer:
                 "exploration jobs need a durable state dir; "
                 "restart the server with --state-dir"
             )
-        actx = self._admit("explore", payload, admission)
-        params = parse_explore_request(
-            payload, allow_paths=self.config.allow_local_paths
+        actx, params = self._admit(
+            "explore", payload, admission, parse_explore_request
         )
         deadline = actx.merged_deadline(params["deadline_seconds"])
         if deadline is not None:
@@ -643,9 +643,8 @@ class ReproServer:
                 "shard jobs need a durable state dir; "
                 "restart the server with --state-dir"
             )
-        actx = self._admit("shard", payload, admission)
-        params = parse_shard_request(
-            payload, allow_paths=self.config.allow_local_paths
+        actx, params = self._admit(
+            "shard", payload, admission, parse_shard_request
         )
         deadline = actx.merged_deadline(params["deadline_seconds"])
         if deadline is not None:

@@ -233,7 +233,7 @@ def expected_bodies(workload: List[Dict[str, Any]]) -> List[bytes]:
     from repro.serve.encoding import parse_analyze_request
 
     return [
-        _run_analyze(parse_analyze_request(dict(item)))
+        _run_analyze(*parse_analyze_request(dict(item)))
         for item in workload
     ]
 

@@ -19,7 +19,7 @@ import json
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.comm import check_backend
-from repro.core.analysis import MCAnalysisResult, TransitionInfo
+from repro.core.analysis import analysis_result_to_dict
 from repro.core.factory import DSE_DEFAULT_TOKEN, backend_token
 from repro.core.problem import DesignPoint
 from repro.dse.request import ExploreRequest, IslandTopology, TOPOLOGY_KINDS
@@ -29,17 +29,14 @@ from repro.dse.results import (
     ParetoPoint,
 )
 from repro.errors import ReproError
+# The system format lives in repro.model.serialization; its two
+# functions are re-exported here for callers of the serving layer.
 from repro.model.serialization import (
-    FORMAT_VERSION,
     SystemBundle,
-    application_set_from_dict,
-    application_set_to_dict,
-    architecture_from_dict,
-    architecture_to_dict,
-    mapping_from_dict,
-    mapping_to_dict,
+    bundle_from_payload,
+    bundle_to_payload,
 )
-from repro.sim.montecarlo import MonteCarloResult
+from repro.sim.montecarlo import montecarlo_result_to_dict
 
 __all__ = [
     "canonical_json",
@@ -47,7 +44,6 @@ __all__ = [
     "request_digest",
     "bundle_to_payload",
     "bundle_from_payload",
-    "resolve_system",
     "canonical_system",
     "parse_analyze_request",
     "parse_simulate_request",
@@ -92,74 +88,21 @@ def request_digest(endpoint: str, params: Dict[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def bundle_to_payload(bundle: SystemBundle) -> Dict[str, Any]:
-    """A :class:`SystemBundle` as the (inline) ``save_system`` payload."""
-    payload: Dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "applications": application_set_to_dict(bundle.applications),
-        "architecture": architecture_to_dict(bundle.architecture),
-    }
-    if bundle.mapping is not None:
-        payload["mapping"] = mapping_to_dict(bundle.mapping)
-    if bundle.plan is not None:
-        payload["hardening_plan"] = bundle.plan.to_dict()
-    return payload
-
-
-def bundle_from_payload(payload: Dict[str, Any]) -> SystemBundle:
-    """Inverse of :func:`bundle_to_payload` (the ``save_system`` format)."""
-    from repro.hardening.spec import HardeningPlan
-
-    if not isinstance(payload, dict):
-        raise ReproError("inline system must be a JSON object")
-    for field in ("applications", "architecture"):
-        if field not in payload:
-            raise ReproError(f"inline system lacks {field!r}")
-    applications = application_set_from_dict(payload["applications"])
-    architecture = architecture_from_dict(payload["architecture"])
-    mapping = (
-        mapping_from_dict(payload["mapping"]) if "mapping" in payload else None
-    )
-    plan = (
-        HardeningPlan.from_dict(payload["hardening_plan"])
-        if "hardening_plan" in payload
-        else None
-    )
-    return SystemBundle(applications, architecture, mapping, plan)
-
-
-def resolve_system(
-    spec: Union[str, Dict[str, Any]], allow_paths: bool = False
+def _resolve_system(
+    spec: Union[str, Dict[str, Any]], allow_paths: bool
 ) -> SystemBundle:
-    """A bundle from a request's ``system`` field.
+    """A request's ``system`` field as a bundle, via :func:`repro.api.load`.
 
-    Accepts an inline ``save_system`` payload (the self-contained form
-    clients should prefer) or a built-in suite name.  Server-local
-    *paths* are an opt-in (``allow_paths=True``, the server's
-    ``--allow-local-paths`` flag): letting any client that can reach the
-    socket open arbitrary server-side files — and probe their existence
-    through error messages — is only acceptable when client and server
-    trust each other and share a filesystem.
+    Server-local *paths* need ``allow_paths`` (``--allow-local-paths``):
+    they let any client read — and probe for — server-side files.  An
+    unregistered ``comm_backend`` is rejected here, before the request
+    can take a worker.
     """
     from repro.api import load
 
-    if isinstance(spec, dict):
-        return bundle_from_payload(spec)
-    if isinstance(spec, str):
-        from repro.suites import benchmark_names
-
-        if allow_paths or spec in benchmark_names():
-            return load(spec)
-        raise ReproError(
-            f"unknown suite {spec!r}; known suites: "
-            f"{', '.join(sorted(benchmark_names()))}. Server-local file "
-            f"paths are disabled (start the server with "
-            f"--allow-local-paths to accept them)"
-        )
-    raise ReproError(
-        f"system must be an object, suite name, or path, got "
-        f"{type(spec).__name__}"
-    )
+    bundle = load(spec, allow_paths=allow_paths)
+    check_backend(bundle.architecture.interconnect.comm_backend)
+    return bundle
 
 
 def canonical_system(
@@ -169,13 +112,9 @@ def canonical_system(
 
     Requests are canonicalized *before* dedup keying, so ``"cruise"``
     and the equivalent inline bundle coalesce — and an explore job stored
-    for resume-on-restart no longer depends on files that may move.  An
-    unregistered ``comm_backend`` is rejected here, before the request
-    can take a worker.
+    for resume-on-restart no longer depends on files that may move.
     """
-    bundle = resolve_system(spec, allow_paths=allow_paths)
-    check_backend(bundle.architecture.interconnect.comm_backend)
-    return bundle_to_payload(bundle)
+    return bundle_to_payload(_resolve_system(spec, allow_paths))
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +222,21 @@ def _deadline_field(payload) -> Optional[float]:
 
 def parse_analyze_request(
     payload: Dict[str, Any], allow_paths: bool = False
-) -> Dict[str, Any]:
+) -> Tuple[Dict[str, Any], SystemBundle]:
     """Validate and normalize a ``/v1/analyze`` body.
 
-    Returns a plain dict of canonical parameters (system inlined), ready
-    for :func:`request_digest` and for the worker to execute.  Every
+    Returns the canonical parameters (system inlined) — a plain dict
+    ready for :func:`request_digest` — and the system bundle they were
+    built from, which the worker analyzes without parsing again.  Every
     spelling of the default back-end digests as ``backend: null``.
     """
     if not isinstance(payload, dict):
         raise ReproError("request body must be a JSON object")
     _reject_unknown(payload, _ANALYZE_FIELDS, "/v1/analyze")
     _require_system(payload)
+    bundle = _resolve_system(payload["system"], allow_paths)
     return {
-        "system": canonical_system(payload["system"], allow_paths),
+        "system": bundle_to_payload(bundle),
         "method": _choice_field(
             payload, "method", "proposed", ("proposed", "naive", "adhoc")
         ),
@@ -306,13 +247,17 @@ def parse_analyze_request(
         "dropped": list(_dropped_field(payload)),
         "policy": _choice_field(payload, "policy", "fp", ("fp", "edf")),
         "deadline_seconds": _deadline_field(payload),
-    }
+    }, bundle
 
 
 def parse_simulate_request(
     payload: Dict[str, Any], allow_paths: bool = False
-) -> Dict[str, Any]:
-    """Validate and normalize a ``/v1/simulate`` body."""
+) -> Tuple[Dict[str, Any], SystemBundle]:
+    """Validate and normalize a ``/v1/simulate`` body.
+
+    Returns the canonical parameters and the system bundle, as
+    :func:`parse_analyze_request` does.
+    """
     if not isinstance(payload, dict):
         raise ReproError("request body must be a JSON object")
     _reject_unknown(payload, _SIMULATE_FIELDS, "/v1/simulate")
@@ -320,8 +265,9 @@ def parse_simulate_request(
     worst_bias = _float_field(payload, "worst_bias", 0.5)
     if not 0.0 <= worst_bias <= 1.0:
         raise ReproError("worst_bias must lie in [0, 1]")
+    bundle = _resolve_system(payload["system"], allow_paths)
     return {
-        "system": canonical_system(payload["system"], allow_paths=allow_paths),
+        "system": bundle_to_payload(bundle),
         "profiles": _int_field(payload, "profiles", 500, 1),
         "seed": _int_field(payload, "seed", 0, 0),
         "dropped": list(_dropped_field(payload)),
@@ -329,7 +275,7 @@ def parse_simulate_request(
         "max_faults": _int_field(payload, "max_faults", 3, 0),
         "worst_bias": worst_bias,
         "deadline_seconds": _deadline_field(payload),
-    }
+    }, bundle
 
 
 def parse_explore_request(
@@ -479,66 +425,6 @@ def explore_request_from_params(params: Dict[str, Any]) -> ExploreRequest:
 # ---------------------------------------------------------------------------
 # Result encoding
 # ---------------------------------------------------------------------------
-
-
-def _transition_to_dict(transition: TransitionInfo) -> Dict[str, Any]:
-    return {
-        "trigger_primary": transition.trigger_primary,
-        "trigger_kind": transition.trigger_kind.value,
-        "instance": transition.instance,
-        "min_start": transition.min_start,
-        "max_finish": transition.max_finish,
-        "wcrt": dict(transition.wcrt),
-    }
-
-
-def analysis_result_to_dict(result: MCAnalysisResult) -> Dict[str, Any]:
-    """A :class:`MCAnalysisResult` as a JSON-friendly dict.
-
-    Transition order is preserved as a list (it carries the fold order of
-    Algorithm 1); everything keyed by name sorts deterministically
-    through the canonical encoder.
-    """
-    return {
-        "kind": "analysis",
-        "schedulable": result.schedulable,
-        "granularity": result.granularity,
-        "transitions_analyzed": result.transitions_analyzed,
-        "transitions_pruned": result.transitions_pruned,
-        "verdicts": {
-            name: {
-                "wcrt": verdict.wcrt,
-                "normal_wcrt": verdict.normal_wcrt,
-                "deadline": verdict.deadline,
-                "dropped": verdict.dropped,
-                "meets_deadline": verdict.meets_deadline,
-                "worst_transition": verdict.worst_transition,
-            }
-            for name, verdict in result.verdicts.items()
-        },
-        "transitions": [_transition_to_dict(t) for t in result.transitions],
-        "task_completion": dict(result.task_completion),
-    }
-
-
-def montecarlo_result_to_dict(result: MonteCarloResult) -> Dict[str, Any]:
-    """A :class:`MonteCarloResult` as a JSON-friendly summary.
-
-    Raw per-profile samples stay on the server (they can be tens of
-    thousands of floats); the summary carries the quantiles the CLI
-    prints.
-    """
-    graphs = sorted(result.worst_response)
-    return {
-        "kind": "simulation",
-        "profiles": result.profiles,
-        "critical_runs": result.critical_runs,
-        "runs_with_drops": result.runs_with_drops,
-        "deadline_miss_runs": dict(result.deadline_miss_runs),
-        "worst_response": dict(result.worst_response),
-        "p99_response": {g: result.percentile(g, 0.99) for g in graphs},
-        "mean_response": {g: result.mean_response(g) for g in graphs},
-    }
 
 
 def exploration_result_to_dict(result: ExplorationResult) -> Dict[str, Any]:

@@ -73,6 +73,26 @@ class MonteCarloResult:
         return sum(values) / len(values)
 
 
+def montecarlo_result_to_dict(result: MonteCarloResult) -> Dict[str, Any]:
+    """A :class:`MonteCarloResult` as a JSON-friendly summary.
+
+    Raw per-profile samples stay on the server (they can be tens of
+    thousands of floats); the summary carries the quantiles the CLI
+    prints.
+    """
+    graphs = sorted(result.worst_response)
+    return {
+        "kind": "simulation",
+        "profiles": result.profiles,
+        "critical_runs": result.critical_runs,
+        "runs_with_drops": result.runs_with_drops,
+        "deadline_miss_runs": dict(result.deadline_miss_runs),
+        "worst_response": dict(result.worst_response),
+        "p99_response": {g: result.percentile(g, 0.99) for g in graphs},
+        "mean_response": {g: result.mean_response(g) for g in graphs},
+    }
+
+
 class MonteCarloEstimator:
     """Runs a simulation campaign over random failure profiles."""
 

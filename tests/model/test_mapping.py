@@ -41,16 +41,8 @@ class TestAccess:
 
 
 class TestQueries:
-    def test_tasks_on(self, simple_mapping):
-        assert simple_mapping.tasks_on("pe0") == ["a", "b"]
-        assert simple_mapping.tasks_on("pe9") == []
-
     def test_used_processors(self, simple_mapping):
         assert simple_mapping.used_processors == {"pe0", "pe1", "pe2"}
-
-    def test_co_located(self, simple_mapping):
-        assert simple_mapping.co_located("a", "b")
-        assert not simple_mapping.co_located("a", "c")
 
 
 class TestDerivation:
@@ -58,10 +50,6 @@ class TestDerivation:
         updated = simple_mapping.with_assignment("a", "pe1")
         assert updated["a"] == "pe1"
         assert simple_mapping["a"] == "pe0"
-
-    def test_restricted_to(self, simple_mapping):
-        small = simple_mapping.restricted_to(["a", "c"])
-        assert set(small) == {"a", "c"}
 
     def test_equality_and_hash(self, simple_mapping):
         clone = Mapping(simple_mapping.as_dict())

@@ -1,5 +1,7 @@
 """Round-trip tests for model serialization."""
 
+import json
+
 import pytest
 
 from repro.errors import ModelError
@@ -8,9 +10,12 @@ from repro.model.serialization import (
     application_set_to_dict,
     architecture_from_dict,
     architecture_to_dict,
+    bundle_from_payload,
+    bundle_to_payload,
     load_system,
     mapping_from_dict,
     mapping_to_dict,
+    SystemBundle,
     save_system,
     task_from_dict,
     task_graph_from_dict,
@@ -18,6 +23,7 @@ from repro.model.serialization import (
     task_to_dict,
 )
 from repro.model.task import Task, TaskRole
+from tests.malformed_systems import MALFORMED_SYSTEMS
 
 
 class TestTaskRoundTrip:
@@ -87,3 +93,69 @@ class TestSystemFile:
         save_system(path, apps, architecture, plan=plan)
         bundle = load_system(path)
         assert bundle.plan == plan
+
+
+class TestOneReader:
+    """``bundle_from_payload`` is the one parser; files wrap it."""
+
+    def test_payload_round_trip(self, apps, architecture, mapping, plan):
+        bundle = SystemBundle(apps, architecture, mapping, plan)
+        payload = bundle_to_payload(bundle)
+        assert bundle_to_payload(bundle_from_payload(payload)) == payload
+
+    def test_file_is_the_indented_payload(
+        self, tmp_path, apps, architecture, mapping, plan
+    ):
+        path = tmp_path / "system.json"
+        save_system(path, apps, architecture, mapping=mapping, plan=plan)
+        bundle = SystemBundle(apps, architecture, mapping, plan)
+        assert json.loads(path.read_text()) == bundle_to_payload(bundle)
+
+    def test_unsupported_top_level_version(self, tmp_path, apps, architecture):
+        bundle = SystemBundle(apps, architecture, None, None)
+        payload = bundle_to_payload(bundle)
+        payload["format_version"] = 99
+        with pytest.raises(ModelError, match="format version 99"):
+            bundle_from_payload(payload)
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelError, match="format version 99"):
+            load_system(path)
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        MALFORMED_SYSTEMS + [({"architecture": {}}, "'applications'")],
+    )
+    def test_malformed_payload_names_the_field(self, payload, field):
+        with pytest.raises(ModelError, match=field):
+            bundle_from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "section, key, value, field",
+        [
+            ("architecture", "interconnect", None, "'interconnect'"),
+            ("architecture", "processors", 3, "'architecture'"),
+            (None, "mapping", [], "'mapping'"),
+            (None, "hardening_plan", {"t": 1}, "'hardening_plan'"),
+        ],
+    )
+    def test_malformed_section_names_the_field(
+        self, apps, architecture, section, key, value, field
+    ):
+        bundle = SystemBundle(apps, architecture, None, None)
+        payload = bundle_to_payload(bundle)
+        target = payload[section] if section else payload
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        with pytest.raises(ModelError, match=field):
+            bundle_from_payload(payload)
+
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(ModelError, match="cannot read system file"):
+            load_system(tmp_path / "absent.json")
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        with pytest.raises(ModelError, match="not valid JSON"):
+            load_system(path)

@@ -58,14 +58,10 @@ class TestTaskValidation:
 
     def test_replica_with_origin(self):
         replica = Task("t#r1", 1.0, 2.0, role=TaskRole.REPLICA, origin="t", replica_index=1)
-        assert replica.primary_name == "t"
         assert replica.replica_index == 1
 
 
 class TestTaskDerivation:
-    def test_primary_name_of_primary(self):
-        assert Task("t", 1.0, 2.0).primary_name == "t"
-
     def test_with_times(self):
         task = Task("t", 1.0, 2.0)
         updated = task.with_times(0.5, 3.0)

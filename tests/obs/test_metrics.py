@@ -137,18 +137,6 @@ class TestRegistry:
 
 
 class TestExport:
-    def test_jsonl_round_trip(self, registry, tmp_path):
-        registry.counter("c").inc(3)
-        registry.timer("t").observe(1.0)
-        path = tmp_path / "metrics.jsonl"
-        registry.write_jsonl(path)
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        by_name = {entry["name"]: entry for entry in lines}
-        assert by_name["c"]["type"] == "counter"
-        assert by_name["c"]["value"] == 3
-        assert by_name["t"]["type"] == "timer"
-        assert by_name["t"]["count"] == 1
-
     def test_write_json_merges_extra(self, registry, tmp_path):
         registry.counter("c").inc()
         path = tmp_path / "metrics.json"

@@ -323,6 +323,41 @@ class TestBrownoutHTTP:
         healthy = client.analyze_raw(bundle, dropped=["lo"])
         assert healthy == _direct_bytes(bundle, dropped=("lo",))
 
+    def test_one_system_parse_per_served_request(
+        self, brownout_server, bundle, monkeypatch
+    ):
+        """The system is parsed once, on the request thread; the worker
+        (normal or degraded) analyzes the bundle the parse built."""
+        import sys
+
+        from repro.model import serialization
+
+        original = serialization.bundle_from_payload
+        calls = []
+
+        def counting(payload):
+            calls.append(payload)
+            return original(payload)
+
+        for name, module in list(sys.modules.items()):
+            if (
+                name.split(".")[0] == "repro"
+                and getattr(module, "bundle_from_payload", None) is original
+            ):
+                monkeypatch.setattr(module, "bundle_from_payload", counting)
+        client = ServeClient(brownout_server.url)
+        requests = (
+            (0, lambda: client.analyze_raw(bundle)),
+            (0, lambda: client.simulate_raw(bundle, profiles=2, seed=1)),
+            (2, lambda: client.analyze_raw(bundle, dropped=["lo"])),
+        )
+        for stage, send in requests:
+            _force_stage(brownout_server, stage)
+            calls.clear()
+            body = send()
+            assert json.loads(body).get("degraded", False) is (stage == 2)
+            assert len(calls) == 1
+
     def test_healthz_reports_stage(self, brownout_server):
         _force_stage(brownout_server, 1)
         client = ServeClient(brownout_server.url)

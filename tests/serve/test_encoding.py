@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.api import load
-from repro.errors import ReproError
+from repro.errors import ModelError, ReproError
 from repro.serve.encoding import (
     bundle_from_payload,
     bundle_to_payload,
@@ -17,6 +17,7 @@ from repro.serve.encoding import (
     parse_simulate_request,
     request_digest,
 )
+from tests.malformed_systems import MALFORMED_SYSTEMS
 
 
 class TestCanonicalJson:
@@ -50,35 +51,34 @@ class TestRequestDigest:
 
     def test_suite_name_and_inline_payload_coalesce(self):
         inline = bundle_to_payload(load("cruise"))
-        by_name = parse_analyze_request({"system": "cruise"})
-        by_payload = parse_analyze_request({"system": inline})
+        by_name, _ = parse_analyze_request({"system": "cruise"})
+        by_payload, _ = parse_analyze_request({"system": inline})
         assert request_digest("analyze", by_name) == request_digest(
             "analyze", by_payload
         )
 
     def test_dropped_string_and_list_coalesce(self, bundle):
         payload = bundle_to_payload(bundle)
-        a = parse_analyze_request({"system": payload, "dropped": "lo"})
-        b = parse_analyze_request({"system": payload, "dropped": ["lo"]})
+        a, _ = parse_analyze_request({"system": payload, "dropped": "lo"})
+        b, _ = parse_analyze_request({"system": payload, "dropped": ["lo"]})
         assert request_digest("analyze", a) == request_digest("analyze", b)
 
 
 class TestResolveSystemPaths:
-    def test_paths_disabled_by_default(self, tmp_path):
-        from repro.serve.encoding import resolve_system
+    """``api.load(..., allow_paths=False)``: the server's resolver."""
 
+    def test_paths_disabled_by_default(self, tmp_path):
         with pytest.raises(ReproError, match="allow-local-paths"):
-            resolve_system(str(tmp_path / "system.json"))
+            load(str(tmp_path / "system.json"), allow_paths=False)
+        with pytest.raises(ReproError, match="allow-local-paths"):
+            parse_analyze_request({"system": str(tmp_path / "system.json")})
 
     def test_suite_names_allowed_without_opt_in(self):
-        from repro.serve.encoding import resolve_system
-
-        bundle = resolve_system("cruise")
+        bundle = load("cruise", allow_paths=False)
         assert bundle.applications.graphs
 
     def test_paths_resolve_when_opted_in(self, bundle, tmp_path):
         from repro.model.serialization import save_system
-        from repro.serve.encoding import resolve_system
 
         path = tmp_path / "system.json"
         save_system(
@@ -88,18 +88,33 @@ class TestResolveSystemPaths:
             bundle.mapping,
             bundle.plan,
         )
-        loaded = resolve_system(str(path), allow_paths=True)
+        _params, loaded = parse_analyze_request(
+            {"system": str(path)}, allow_paths=True
+        )
         assert bundle_to_payload(loaded) == bundle_to_payload(bundle)
 
     def test_missing_path_does_not_leak_existence_by_default(self, tmp_path):
         # Whether or not the file exists, the gated error is identical.
-        from repro.serve.encoding import resolve_system
-
         present = tmp_path / "present.json"
         present.write_text("{}")
+        messages = set()
         for spec in (present, tmp_path / "absent.json"):
-            with pytest.raises(ReproError, match="unknown suite"):
-                resolve_system(str(spec))
+            with pytest.raises(ReproError, match="unknown suite") as info:
+                load(str(spec), allow_paths=False)
+            messages.add(str(info.value).replace(str(spec), "<spec>"))
+        assert len(messages) == 1
+
+
+class TestMalformedSystem:
+    @pytest.mark.parametrize("system, field", MALFORMED_SYSTEMS)
+    def test_every_served_parse_rejects(self, system, field):
+        for parse in (
+            parse_analyze_request,
+            parse_simulate_request,
+            parse_explore_request,
+        ):
+            with pytest.raises(ModelError, match=field):
+                parse({"system": system})
 
 
 class TestBundlePayload:
@@ -124,7 +139,10 @@ class TestBundlePayload:
 
 class TestParseAnalyze:
     def test_defaults(self, bundle):
-        params = parse_analyze_request({"system": bundle_to_payload(bundle)})
+        params, parsed = parse_analyze_request(
+            {"system": bundle_to_payload(bundle)}
+        )
+        assert bundle_to_payload(parsed) == bundle_to_payload(bundle)
         assert params["method"] == "proposed"
         assert params["granularity"] == "job"
         assert params["policy"] == "fp"
@@ -154,7 +172,10 @@ class TestParseAnalyze:
 
 class TestParseSimulate:
     def test_defaults(self, bundle):
-        params = parse_simulate_request({"system": bundle_to_payload(bundle)})
+        params, parsed = parse_simulate_request(
+            {"system": bundle_to_payload(bundle)}
+        )
+        assert bundle_to_payload(parsed) == bundle_to_payload(bundle)
         assert params["profiles"] == 500
         assert params["seed"] == 0
         assert params["max_faults"] == 3

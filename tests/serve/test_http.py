@@ -12,6 +12,7 @@ from repro.obs.metrics import metrics
 from repro.serve.client import ServeError
 from repro.serve.encoding import analysis_result_to_dict, canonical_bytes
 from repro.suites import benchmark_names
+from tests.malformed_systems import MALFORMED_SYSTEMS
 
 
 def _counter(name):
@@ -297,6 +298,18 @@ class TestErrorContract:
         assert "unknown field(s) for /v1/analyze: bus_contention" in str(
             info.value
         )
+        # Rejected at admission: nothing reached the batcher.
+        assert _counter("serve.batches") == batches
+
+    @pytest.mark.parametrize("endpoint", ["analyze", "simulate", "explore"])
+    @pytest.mark.parametrize("system, field", MALFORMED_SYSTEMS)
+    def test_malformed_system_400(self, client, endpoint, system, field):
+        batches = _counter("serve.batches")
+        with pytest.raises(ServeError) as info:
+            getattr(client, endpoint)(system)
+        assert info.value.status == 400
+        assert info.value.error_type == "ModelError"
+        assert field in str(info.value)
         # Rejected at admission: nothing reached the batcher.
         assert _counter("serve.batches") == batches
 

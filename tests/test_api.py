@@ -1,13 +1,20 @@
 """The repro.api facade round-trips the CLI flows."""
 
+from pathlib import Path
+
 import pytest
 
 import repro
 from repro.api import analyze, explore, load, simulate, validate_dropped
 from repro.core.fastpath import FastPathConfig
 from repro.dse import ExploreRequest
-from repro.errors import ReproError
-from repro.model.serialization import SystemBundle, save_system
+from repro.errors import ModelError, ReproError
+from repro.model.serialization import (
+    SystemBundle,
+    bundle_to_payload,
+    save_system,
+)
+from tests.malformed_systems import MALFORMED_SYSTEMS
 
 
 @pytest.fixture
@@ -31,6 +38,28 @@ class TestLoad:
     def test_bundle_passthrough(self, system_file):
         bundle = load(system_file)
         assert load(bundle) is bundle
+        assert load(bundle, allow_paths=False) is bundle
+
+    def test_inline_payload(self, system_file):
+        bundle = load(system_file)
+        inline = load(bundle_to_payload(bundle))
+        assert bundle_to_payload(inline) == bundle_to_payload(bundle)
+
+    def test_paths_gated(self, system_file):
+        with pytest.raises(ReproError, match="allow-local-paths"):
+            load(system_file, allow_paths=False)
+        assert load(Path(system_file)).mapping is not None
+
+    @pytest.mark.parametrize(
+        "source, field",
+        MALFORMED_SYSTEMS + [
+            (None, "got NoneType"),
+            ("no-such-suite-or-file.json", "cannot read system file"),
+        ],
+    )
+    def test_malformed_source_names_the_field(self, source, field):
+        with pytest.raises(ModelError, match=field):
+            load(source)
 
 
 class TestValidateDropped:
@@ -85,6 +114,15 @@ class TestAnalyze:
     def test_unknown_dropped_rejected(self, system_file):
         with pytest.raises(ReproError, match="ghost"):
             analyze(system_file, dropped=("ghost",))
+
+    def test_inline_payload(self, system_file):
+        inline = bundle_to_payload(load(system_file))
+        assert analyze(inline, dropped="lo") == analyze(
+            system_file, dropped="lo"
+        )
+        assert simulate(inline, profiles=5).worst_response == simulate(
+            system_file, profiles=5
+        ).worst_response
 
     def test_top_level_reexports(self):
         assert repro.analyze is analyze

@@ -8,6 +8,7 @@ from repro.cli import main
 from repro.core.problem import DesignPoint
 from repro.hardening.spec import HardeningPlan, HardeningSpec
 from repro.model.serialization import save_system
+from tests.malformed_systems import MALFORMED_SYSTEMS
 
 
 @pytest.fixture
@@ -244,6 +245,71 @@ class TestMargins:
 
     def test_margins_requires_mapping(self, unmapped_system_file, capsys):
         assert main(["margins", unmapped_system_file]) == 2
+
+
+#: Malformed system files: (file text or None for no file, the part of
+#: the error that names the fault).
+MALFORMED_FILES = [
+    (None, "cannot read system file"),
+    ("{not json", "not valid JSON"),
+] + [(json.dumps(system), text) for system, text in MALFORMED_SYSTEMS]
+
+
+class TestSystemInput:
+    @pytest.mark.parametrize("command", ("analyze", "simulate", "margins"))
+    @pytest.mark.parametrize("text, field", MALFORMED_FILES)
+    def test_malformed_system_exits_2(
+        self, tmp_path, capsys, command, text, field
+    ):
+        path = tmp_path / "system.json"
+        if text is not None:
+            path.write_text(text)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
+    @pytest.mark.parametrize("text", (None, "[1]", "{not json"))
+    def test_bad_plan_file_exits_2(self, system_file, tmp_path, capsys, text):
+        plan = tmp_path / "plan.json"
+        if text is not None:
+            plan.write_text(text)
+        assert main(["analyze", system_file, "--plan", str(plan)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read plan")
+
+    @pytest.mark.parametrize("command", ("analyze", "simulate", "margins"))
+    def test_suite_name_resolves_then_needs_a_mapping(self, capsys, command):
+        assert main([command, "cruise"]) == 2
+        assert "cruise carries no mapping" in capsys.readouterr().err
+
+
+class TestSubmitTables:
+    def test_submit_prints_the_local_tables(self, system_file, capsys):
+        """Local and served runs render one response dict through one
+        printer; only the row order of served verdicts differs (the
+        served body is canonical JSON, keys sorted)."""
+        from repro.serve import ReproServer, ServeConfig
+
+        server = ReproServer(ServeConfig(port=0, workers=1))
+        server.start()
+        try:
+            for argv in (
+                ["analyze", system_file, "--dropped", "lo"],
+                ["analyze", system_file, "--method", "naive"],
+                ["simulate", system_file, "--profiles", "10"],
+            ):
+                local_code = main(argv)
+                local = capsys.readouterr().out
+                served_code = main(
+                    ["submit", argv[0], argv[1], "--server", server.url,
+                     *argv[2:]]
+                )
+                served = capsys.readouterr().out
+                assert served_code == local_code
+                assert sorted(served.splitlines()) == sorted(
+                    local.splitlines()
+                )
+        finally:
+            server.close()
 
 
 class TestExportAndGenerate:

@@ -204,7 +204,8 @@ def _served_analyze(backend):
     body = {"system": "cruise"}
     if backend is not None:
         body["backend"] = backend
-    return parse_analyze_request(body)
+    params, _bundle = parse_analyze_request(body)
+    return params
 
 
 def _served_explore(backend):
@@ -321,3 +322,87 @@ class TestBackendNameTable:
             assert explore_request_from_params(record.params).backend == "fast"
         finally:
             store.shutdown()
+
+
+class TestSystemSources:
+    """Every front door resolves the four system sources — a bundle, an
+    inline payload, a suite name, a path — through ``api.load`` to equal
+    bundles (compared in their canonical payload form)."""
+
+    @pytest.fixture
+    def sources(self, tmp_path):
+        from repro.api import load
+        from repro.model.serialization import bundle_to_payload, save_system
+
+        bundle = load("cruise")
+        path = tmp_path / "cruise.json"
+        save_system(path, bundle.applications, bundle.architecture)
+        return {
+            "bundle": bundle,
+            "inline": bundle_to_payload(bundle),
+            "suite": "cruise",
+            "path": str(path),
+        }
+
+    @staticmethod
+    def _payload(bundle):
+        from repro.model.serialization import bundle_to_payload
+
+        return bundle_to_payload(bundle)
+
+    def _resolved(self, sources, resolve):
+        payloads = {kind: resolve(source) for kind, source in sources.items()}
+        reference = self._payload(sources["bundle"])
+        for kind, payload in payloads.items():
+            assert payload == reference, kind
+
+    def test_api_load(self, sources):
+        from repro.api import load
+
+        self._resolved(sources, lambda source: self._payload(load(source)))
+
+    def test_explore_request_through_islands(self, sources):
+        from repro.dse.islands import _shard_problem
+
+        self._resolved(
+            sources,
+            lambda source: _shard_problem(
+                ExploreRequest.from_options(source)
+            )[1],
+        )
+
+    def test_served_parse(self, sources):
+        from repro.serve.client import _system_payload
+        from repro.serve.encoding import parse_analyze_request
+
+        def served(source):
+            params, bundle = parse_analyze_request(
+                {"system": _system_payload(source)}, allow_paths=True
+            )
+            assert params["system"] == self._payload(bundle)
+            return params["system"]
+
+        self._resolved(sources, served)
+
+    def test_cli(self, sources, capsys):
+        from repro.cli import main
+        from repro.dse.islands import _shard_problem
+
+        reference = self._payload(sources["bundle"])
+        for kind in ("suite", "path"):
+            request = _cli_request(["explore", sources[kind]])
+            assert _shard_problem(request)[1] == reference, kind
+            for command in ("analyze", "simulate", "margins"):
+                assert main([command, sources[kind]]) == 2
+                err = capsys.readouterr().err
+                assert f"{sources[kind]} carries no mapping" in err
+
+    def test_paths_off_hides_whether_a_path_exists(self, sources, tmp_path):
+        from repro.serve.encoding import parse_analyze_request
+
+        messages = set()
+        for spec in (sources["path"], str(tmp_path / "absent.json")):
+            with pytest.raises(ReproError, match="allow-local-paths") as info:
+                parse_analyze_request({"system": spec})
+            messages.add(str(info.value).replace(spec, "<path>"))
+        assert len(messages) == 1
