@@ -125,7 +125,8 @@ def _print_analysis(result: dict, method: str) -> int:
     """Print an analysis response dict; returns the command's exit code.
 
     The one table of ``analyze`` and ``submit analyze``.  Rows follow
-    the order of ``result["verdicts"]``.
+    the order of ``result["verdicts"]``; a served brownout answer
+    (``"degraded": true``) gets one more line saying so.
     """
     print(f"{'application':>16} | {'wcrt':>10} | {'deadline':>9} | status")
     print("-" * 52)
@@ -139,6 +140,11 @@ def _print_analysis(result: dict, method: str) -> int:
         )
     if method == "proposed":
         print(f"\ntransitions analyzed: {result['transitions_analyzed']}")
+    if result.get("degraded"):
+        print(
+            "degraded: brownout fallback bounds (window back-end, "
+            "no shared cache)"
+        )
     return 0 if result["schedulable"] else 1
 
 
@@ -403,8 +409,6 @@ def _cmd_serve_supervised(args) -> int:
         "--processes", "1",
         "--workers", str(args.workers),
         "--queue-size", str(args.queue_size),
-        "--max-batch", str(args.max_batch),
-        "--batch-window-ms", str(args.batch_window_ms),
         "--job-workers", str(args.job_workers),
         "--drain-timeout", str(args.drain_timeout),
         "--brownout-enter", str(args.brownout_enter),
@@ -460,8 +464,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         workers=args.workers,
         queue_size=args.queue_size,
-        max_batch=args.max_batch,
-        batch_window_seconds=args.batch_window_ms / 1000.0,
         state_dir=args.state_dir,
         job_workers=args.job_workers,
         cache_capacity=args.cache_size,
@@ -901,14 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--queue-size", type=int, default=64,
         help="admission queue bound (full queue answers 429)",
-    )
-    serve.add_argument(
-        "--max-batch", type=int, default=8,
-        help="max requests coalesced into one worker dispatch",
-    )
-    serve.add_argument(
-        "--batch-window-ms", type=float, default=2.0,
-        help="micro-batching window in milliseconds",
     )
     serve.add_argument(
         "--state-dir",

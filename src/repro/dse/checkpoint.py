@@ -28,7 +28,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.core.evaluator import EvaluationResult
 from repro.core.problem import DesignPoint, Problem
@@ -50,6 +50,28 @@ SNAPSHOT_VERSION = 1
 
 _SNAPSHOT_PREFIX = "checkpoint-"
 _SNAPSHOT_SUFFIX = ".json"
+
+
+def write_json_durably(path: Path, payload: Any) -> None:
+    """Commit ``payload`` to ``path`` as sorted-key JSON, all or nothing.
+
+    Writes a sibling ``*.tmp`` file, fsyncs it and renames it over
+    ``path``.  On failure the temp file is removed and the ``OSError``
+    re-raised; callers map it to their own error.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as handle:
+            json.dump(payload, handle, sort_keys=True)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass
+        raise
 
 
 def latest_snapshot_generation(directory) -> Optional[int]:
@@ -280,18 +302,9 @@ class CheckpointManager:
         with trace_span("dse.checkpoint", generation=snapshot.generation):
             payload = snapshot_to_dict(snapshot, self._digest)
             target = self.path_for(snapshot.generation)
-            tmp = target.with_name(target.name + ".tmp")
             try:
-                with open(tmp, "w") as handle:
-                    json.dump(payload, handle, sort_keys=True)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, target)
+                write_json_durably(target, payload)
             except OSError as error:
-                try:
-                    tmp.unlink(missing_ok=True)
-                except OSError:
-                    pass
                 raise CheckpointError(
                     f"cannot write checkpoint {target}: {error}"
                 ) from error

@@ -57,6 +57,7 @@ from repro.dse.checkpoint import (
     RunSnapshot,
     latest_snapshot_generation,
     problem_digest,
+    write_json_durably,
 )
 from repro.dse.ga import Explorer, ExplorerConfig
 from repro.dse.request import ExploreRequest, IslandTopology
@@ -177,15 +178,6 @@ def _base_config(request: ExploreRequest) -> ExplorerConfig:
 # ---------------------------------------------------------------------------
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
 def _parse_fault(value: Optional[str]) -> Optional[Tuple[int, int]]:
     if not value:
         return None
@@ -254,7 +246,9 @@ def _run_epoch(
         raise KeyboardInterrupt
     from repro.serve.encoding import exploration_result_to_dict
 
-    _write_json(island / _RESULT_NAME, exploration_result_to_dict(result))
+    write_json_durably(
+        island / _RESULT_NAME, exploration_result_to_dict(result)
+    )
 
 
 def _epoch_spec(
@@ -583,7 +577,7 @@ class _Coordinator:
         payload = dict(self._journal_identity())
         payload["version"] = _JOURNAL_VERSION
         payload["barrier"] = barrier
-        _write_json(self._journal_path(), payload)
+        write_json_durably(self._journal_path(), payload)
         self._done_barrier = barrier
 
     def _wipe(self) -> None:

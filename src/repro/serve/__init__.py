@@ -1,8 +1,8 @@
 """Concurrent analysis/exploration service over :mod:`repro.api`.
 
-Stdlib-only JSON-over-HTTP serving layer: micro-batching with
-request dedup (:mod:`repro.serve.batcher`), a bounded worker pool with
-backpressure (:mod:`repro.serve.pool`), durable, crash-resumable
+Stdlib-only JSON-over-HTTP serving layer: a bounded strict-priority
+worker pool with backpressure and in-flight request dedup
+(:mod:`repro.serve.pool`), durable, crash-resumable
 exploration jobs (:mod:`repro.serve.jobs`), a pre-fork multi-process
 supervisor (:mod:`repro.serve.supervisor`), a disk-backed cross-process
 schedule-cache tier (:mod:`repro.serve.cachestore`), and a fault-
@@ -21,7 +21,6 @@ from repro.serve.admission import (
     TokenBucket,
 )
 from repro.serve.app import ReproServer, ServeConfig, ServiceUnavailable
-from repro.serve.batcher import Batcher, BatchEntry
 from repro.serve.cachestore import DiskCacheStore, TieredScheduleCache
 from repro.serve.client import (
     DeadlineExhausted,
@@ -48,8 +47,6 @@ __all__ = [
     "ClientQuotas",
     "QuotaExceeded",
     "TokenBucket",
-    "Batcher",
-    "BatchEntry",
     "WorkerPool",
     "PoolSaturated",
     "DeadlineExceeded",

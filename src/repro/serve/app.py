@@ -1,15 +1,16 @@
 """The ``repro serve`` HTTP service (stdlib only).
 
 JSON over HTTP on :class:`http.server.ThreadingHTTPServer` — one
-connection thread per request, all actual work funneled through the
-:class:`~repro.serve.batcher.Batcher` (dedup + micro-batching) into the
-bounded :class:`~repro.serve.pool.WorkerPool`.  One concurrency model
-(threads) is used end to end, matching the DSE's thread-pool evaluator;
-no third-party dependency is introduced.
+connection thread per request, all actual work submitted straight into
+the bounded strict-priority queue of the
+:class:`~repro.serve.pool.WorkerPool`, which also dedups identical
+in-flight requests.  One concurrency model (threads) is used end to
+end, matching the DSE's thread-pool evaluator; no third-party
+dependency is introduced.
 
 Endpoints
 ---------
-``POST /v1/analyze``      synchronous WCRT analysis (batched, deduped)
+``POST /v1/analyze``      synchronous WCRT analysis (deduped)
 ``POST /v1/simulate``     synchronous Monte-Carlo campaign (ditto)
 ``POST /v1/explore``      async exploration job -> 202 + job id
 ``POST /v1/shard``        one island-coordination step (epoch/migrate/
@@ -48,6 +49,7 @@ import socket
 import sys
 import threading
 import time
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs
@@ -72,7 +74,6 @@ from repro.serve.admission import (
     ClientQuotas,
     QuotaExceeded,
 )
-from repro.serve.batcher import Batcher
 from repro.serve.encoding import (
     analysis_result_to_dict,
     canonical_bytes,
@@ -94,7 +95,7 @@ __all__ = ["ServeConfig", "ReproServer", "ServiceUnavailable"]
 #: times over; anything bigger is a client bug, not a workload).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
-#: Connection threads waiting on a shared in-flight entry give up after
+#: Connection threads waiting on a shared in-flight item give up after
 #: this long even without a client deadline (prevents waiter leaks).
 DEFAULT_WAIT_SECONDS = 600.0
 
@@ -108,8 +109,6 @@ class ServeConfig:
         port: int = 8352,
         workers: int = 4,
         queue_size: int = 64,
-        max_batch: int = 8,
-        batch_window_seconds: float = 0.002,
         state_dir: Optional[str] = None,
         job_workers: int = 1,
         cache_capacity: Optional[int] = None,
@@ -131,8 +130,6 @@ class ServeConfig:
         self.port = port
         self.workers = workers
         self.queue_size = queue_size
-        self.max_batch = max_batch
-        self.batch_window_seconds = batch_window_seconds
         self.state_dir = state_dir
         self.job_workers = job_workers
         self.cache_capacity = cache_capacity
@@ -170,11 +167,17 @@ def _run_in_context(ctx, fn: Callable[..., bytes], params, bundle) -> bytes:
     The computation executes on a pool worker thread; ``ctx`` was
     captured on the request thread, so activating it here re-roots the
     worker and the ``api.*`` spans join the request's trace.  Deduped
-    waiters attach to the first submitter's entry, so shared work is
+    waiters attach to the first submitter's item, so shared work is
     attributed to the trace that actually ran it.
     """
     with activate(ctx):
         return fn(params, bundle)
+
+
+def _encode(payload: Dict[str, Any]) -> bytes:
+    """The canonical response body, timed as the ``serve.encode`` span."""
+    with trace_span("serve.encode"):
+        return canonical_bytes(payload)
 
 
 def _run_analyze(params: Dict[str, Any], bundle: SystemBundle) -> bytes:
@@ -203,7 +206,7 @@ def _run_analyze(params: Dict[str, Any], bundle: SystemBundle) -> bytes:
             FastPathConfig.shared() if params["method"] == "proposed" else None
         ),
     )
-    return canonical_bytes(analysis_result_to_dict(result))
+    return _encode(analysis_result_to_dict(result))
 
 
 def _run_analyze_degraded(
@@ -231,7 +234,7 @@ def _run_analyze_degraded(
     )
     payload = analysis_result_to_dict(result)
     payload["degraded"] = True
-    return canonical_bytes(payload)
+    return _encode(payload)
 
 
 def _run_simulate(params: Dict[str, Any], bundle: SystemBundle) -> bytes:
@@ -247,7 +250,7 @@ def _run_simulate(params: Dict[str, Any], bundle: SystemBundle) -> bytes:
         max_faults=params["max_faults"],
         worst_bias=params["worst_bias"],
     )
-    return canonical_bytes(montecarlo_result_to_dict(result))
+    return _encode(montecarlo_result_to_dict(result))
 
 
 class ReproServer:
@@ -306,11 +309,6 @@ class ReproServer:
                 if self.config.brownout
                 else None
             ),
-        )
-        self.batcher = Batcher(
-            self.pool,
-            max_batch=self.config.max_batch,
-            window_seconds=self.config.batch_window_seconds,
         )
         self.jobs: Optional[JobStore] = (
             JobStore(self.config.state_dir, workers=self.config.job_workers)
@@ -454,7 +452,7 @@ class ReproServer:
         Sequence: (1) mark draining — new compute requests are shed with
         503 + ``Retry-After`` while job polls stay served; (2) stop the
         accept loop; (3) wait for in-flight HTTP requests; (4) drain the
-        batcher and pool; (5) park running explore jobs on a final
+        pool; (5) park running explore jobs on a final
         committed checkpoint (status back to ``pending``) so the next
         incarnation resumes identical trajectories.  Returns whether
         everything stopped within ``timeout`` seconds.
@@ -482,7 +480,6 @@ class ReproServer:
                 )
                 break
             time.sleep(0.02)
-        self.batcher.shutdown()
         self.pool.shutdown()
         if self.jobs is not None:
             remaining = max(5.0, deadline - time.monotonic())
@@ -506,7 +503,6 @@ class ReproServer:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-        self.batcher.shutdown()
         self.pool.shutdown()
         if self.jobs is not None:
             self.jobs.shutdown()
@@ -542,8 +538,11 @@ class ReproServer:
         """
         ctx = admission if admission is not None else AdmissionContext()
         ctx.absorb_body_fields(payload)
-        ctx.decision = self.admission.admit(endpoint, ctx)
-        return ctx, parse(payload, allow_paths=self.config.allow_local_paths)
+        with trace_span("serve.admit"):
+            ctx.decision = self.admission.admit(endpoint, ctx)
+        with trace_span("serve.parse"):
+            parsed = parse(payload, allow_paths=self.config.allow_local_paths)
+        return ctx, parsed
 
     def handle_analyze(
         self,
@@ -564,14 +563,13 @@ class ReproServer:
             key = request_digest("analyze", params)
             run = _run_analyze
         ctx = capture_context()
-        entry = self.batcher.submit(
-            key,
+        item = self.pool.submit(
             lambda: _run_in_context(ctx, run, params, bundle),
+            key=key,
             deadline_seconds=deadline,
             priority=actx.decision.priority,
         )
-        body = entry.result(deadline or DEFAULT_WAIT_SECONDS)
-        return 200, body
+        return 200, item.result(deadline or DEFAULT_WAIT_SECONDS)
 
     def handle_simulate(
         self,
@@ -583,16 +581,14 @@ class ReproServer:
             "simulate", payload, admission, parse_simulate_request
         )
         deadline = actx.merged_deadline(params["deadline_seconds"])
-        key = request_digest("simulate", params)
         ctx = capture_context()
-        entry = self.batcher.submit(
-            key,
+        item = self.pool.submit(
             lambda: _run_in_context(ctx, _run_simulate, params, bundle),
+            key=request_digest("simulate", params),
             deadline_seconds=deadline,
             priority=actx.decision.priority,
         )
-        body = entry.result(deadline or DEFAULT_WAIT_SECONDS)
-        return 200, body
+        return 200, item.result(deadline or DEFAULT_WAIT_SECONDS)
 
     def handle_explore(
         self,
@@ -909,6 +905,27 @@ class _RequestHandler(BaseHTTPRequestHandler):
         )
         self._send(status, body, extra_headers)
 
+    @staticmethod
+    def _error_status(
+        error: Exception, endpoint: str
+    ) -> Tuple[int, Optional[Dict[str, str]]]:
+        """The HTTP status (and headers) a handler's error maps to."""
+        if isinstance(error, (PoolSaturated, QuotaExceeded)):
+            return 429, {"Retry-After": str(error.retry_after)}
+        if isinstance(error, (BrownoutShed, ServiceUnavailable)):
+            return 503, {"Retry-After": str(error.retry_after)}
+        if isinstance(error, DeadlineExceeded):
+            return 504, None
+        if isinstance(error, _NotFound):
+            return 404, None
+        if isinstance(error, ReproError):
+            return 400, None
+        _LOG.warning(
+            "internal error %s",
+            kv(endpoint=endpoint, error=f"{type(error).__name__}: {error}"),
+        )
+        return 500, None
+
     def _dispatch(self, handler, *args) -> None:
         registry = metrics()
         started = time.monotonic()
@@ -919,49 +936,38 @@ class _RequestHandler(BaseHTTPRequestHandler):
         try:
             # The request span adopts the caller's traceparent (if any)
             # and covers the handler body — including the wait on the
-            # batcher entry, so queue time is attributed to the request.
+            # pool item, so queue time is attributed to the request.  It
+            # closes before the response is written, so its record is
+            # complete by the time the client has the answer; the write
+            # is its child span.
             with activate(remote_ctx), trace_span(
                 "serve.request", endpoint=endpoint
             ) as request_span:
                 trace_id = getattr(request_span, "trace_id", None)
                 if trace_id:
                     self._trace_headers = {RESPONSE_TRACE_HEADER: trace_id}
-                result = handler(*args)
-            status, body = result[0], result[1]
-            content_type = (
-                result[2] if len(result) > 2 else "application/json"
-            )
-            self._send(status, body, content_type=content_type)
-        except PoolSaturated as error:
-            self._send_error(
-                429, error, {"Retry-After": str(error.retry_after)}
-            )
-        except QuotaExceeded as error:
-            self._send_error(
-                429, error, {"Retry-After": str(error.retry_after)}
-            )
-        except BrownoutShed as error:
-            self._send_error(
-                503, error, {"Retry-After": str(error.retry_after)}
-            )
-        except ServiceUnavailable as error:
-            self._send_error(
-                503, error, {"Retry-After": str(error.retry_after)}
-            )
-        except DeadlineExceeded as error:
-            self._send_error(504, error)
-        except _NotFound as error:
-            self._send_error(404, error)
-        except ReproError as error:
-            self._send_error(400, error)
+                request_ctx = capture_context()
+                try:
+                    result = handler(*args)
+                except Exception as error:  # noqa: BLE001 — 500 boundary
+                    request_span.set_attribute("error", type(error).__name__)
+                    status, headers = self._error_status(error, endpoint)
+                    send = partial(self._send_error, status, error, headers)
+                else:
+                    status = result[0]
+                    content_type = (
+                        result[2] if len(result) > 2 else "application/json"
+                    )
+                    send = partial(
+                        self._send, status, result[1],
+                        content_type=content_type,
+                    )
+            with activate(request_ctx), trace_span(
+                "serve.write", status=status
+            ):
+                send()
         except BrokenPipeError:  # client went away mid-response
             pass
-        except Exception as error:  # noqa: BLE001 — 500 boundary
-            _LOG.warning(
-                "internal error %s",
-                kv(endpoint=endpoint, error=f"{type(error).__name__}: {error}"),
-            )
-            self._send_error(500, error)
         finally:
             self.app._request_finished()
             registry.timer(f"serve.latency.{endpoint}").observe(

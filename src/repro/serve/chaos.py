@@ -88,7 +88,7 @@ def build_workload() -> List[Dict[str, Any]]:
     """The request mix clients replay all campaign long.
 
     Small systems (one request is fast) with distinct parameter shapes
-    (the batcher's dedup cannot collapse the campaign into one
+    (the pool's dedup cannot collapse the campaign into one
     computation).  Suites carry no mapping, so each system is inlined
     with a deterministic round-robin mapping — the same payload the
     oracle analyzes directly.

@@ -11,7 +11,7 @@ Two properties drive this module:
 * **Self-containment** — requests carry the *system itself* (the
   ``save_system`` payload), a built-in suite name, or a server-local
   path.  A request is a pure value: its canonical digest identifies the
-  computation completely, which is what the batcher dedups on.
+  computation completely, which is what the worker pool dedups on.
 """
 
 import hashlib
@@ -89,19 +89,23 @@ def request_digest(endpoint: str, params: Dict[str, Any]) -> str:
 
 
 def _resolve_system(
-    spec: Union[str, Dict[str, Any]], allow_paths: bool
+    spec: Union[str, Dict[str, Any]], allow_paths: bool, mapped: bool = False
 ) -> SystemBundle:
     """A request's ``system`` field as a bundle, via :func:`repro.api.load`.
 
     Server-local *paths* need ``allow_paths`` (``--allow-local-paths``):
     they let any client read — and probe for — server-side files.  An
-    unregistered ``comm_backend`` is rejected here, before the request
-    can take a worker.
+    unregistered ``comm_backend``, and with ``mapped`` a system that
+    carries no mapping, are rejected here, before the request can take
+    a worker.
     """
     from repro.api import load
 
     bundle = load(spec, allow_paths=allow_paths)
     check_backend(bundle.architecture.interconnect.comm_backend)
+    if mapped and bundle.mapping is None:
+        label = spec if isinstance(spec, str) else "system"
+        raise ReproError(f"{label} carries no mapping; add one or run explore")
     return bundle
 
 
@@ -234,7 +238,7 @@ def parse_analyze_request(
         raise ReproError("request body must be a JSON object")
     _reject_unknown(payload, _ANALYZE_FIELDS, "/v1/analyze")
     _require_system(payload)
-    bundle = _resolve_system(payload["system"], allow_paths)
+    bundle = _resolve_system(payload["system"], allow_paths, mapped=True)
     return {
         "system": bundle_to_payload(bundle),
         "method": _choice_field(
@@ -265,7 +269,7 @@ def parse_simulate_request(
     worst_bias = _float_field(payload, "worst_bias", 0.5)
     if not 0.0 <= worst_bias <= 1.0:
         raise ReproError("worst_bias must lie in [0, 1]")
-    bundle = _resolve_system(payload["system"], allow_paths)
+    bundle = _resolve_system(payload["system"], allow_paths, mapped=True)
     return {
         "system": bundle_to_payload(bundle),
         "profiles": _int_field(payload, "profiles", 500, 1),

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.dse.checkpoint import write_json_durably
 from repro.errors import ReproError
 from repro.obs.logging import get_logger, kv
 from repro.obs.metrics import metrics
@@ -276,7 +277,6 @@ class JobStore:
 
     def _save(self, job: Job) -> None:
         path = self._record_path(job.id)
-        tmp = path.with_name(path.name + ".tmp")
         try:
             with job._save_lock:
                 # Snapshot under the save lock: a snapshot taken outside
@@ -284,11 +284,7 @@ class JobStore:
                 # record (e.g. a finished job left on disk as 'running').
                 payload = job.to_dict(with_result=True)
                 path.parent.mkdir(parents=True, exist_ok=True)
-                with open(tmp, "w") as handle:
-                    json.dump(payload, handle, sort_keys=True)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, path)
+                write_json_durably(path, payload)
         except OSError as error:
             _LOG.warning(
                 "cannot persist job record %s",

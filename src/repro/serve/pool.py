@@ -16,6 +16,14 @@ younger higher-priority items, so best-effort work cannot starve
 forever as long as the queue is not permanently saturated with
 critical work.
 
+**In-flight dedup** happens on the queue's own items: a submission
+whose ``key`` (the request's canonical digest,
+:func:`repro.serve.encoding.request_digest`) matches a queued or running
+item *attaches* to it instead of computing again, so every waiter gets
+the same response bytes (``serve.dedup.hits``).  Attaching only widens
+the item's deadline and only raises its urgency: a more critical waiter
+moves a still-queued item up to its level (``serve.dedup.promoted``).
+
 Deadlines are enforced at the *pickup* boundary: a request whose
 deadline elapsed while it sat in the queue fails with
 :class:`DeadlineExceeded` without burning a worker on an answer nobody
@@ -30,6 +38,7 @@ import queue
 import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ReproError
@@ -67,11 +76,11 @@ class DeadlineExceeded(ReproError):
 
 
 class WorkItem:
-    """One admitted unit of work; wait on :meth:`result`."""
+    """One admitted unit of work plus every request waiting on it."""
 
     __slots__ = (
-        "_fn", "_deadline", "_event", "_value", "_error", "enqueued",
-        "priority",
+        "_fn", "deadline", "_event", "_value", "_error", "enqueued",
+        "priority", "key", "waiters", "_pool",
     )
 
     def __init__(
@@ -79,16 +88,27 @@ class WorkItem:
         fn: Callable[[], Any],
         deadline: Optional[float],
         priority: int = DEFAULT_PRIORITY,
+        key: Optional[str] = None,
+        pool: Optional["WorkerPool"] = None,
     ):
         self._fn = fn
-        #: Absolute monotonic deadline, or ``None``.
-        self._deadline = deadline
+        #: Absolute monotonic deadline after which running the item is
+        #: pointless — the *loosest* over all attached waiters (``None``
+        #: if any waiter set none), so dedup never tightens what an
+        #: individual request asked for.
+        self.deadline = deadline
         self._event = threading.Event()
         self._value: Any = None
         self._error: Optional[BaseException] = None
         self.enqueued = time.monotonic()
-        #: Strict queue level (0 is picked first).
+        #: Strict queue level (0 is picked first) — the *most urgent*
+        #: over all attached waiters.
         self.priority = priority
+        #: Dedup key (``None``: never shared).
+        self.key = key
+        #: Number of requests sharing this item (1 = no dedup).
+        self.waiters = 1
+        self._pool = pool
 
     def _resolve(self, value: Any = None, error: Optional[BaseException] = None):
         self._value = value
@@ -108,9 +128,25 @@ class WorkItem:
             raise self._error
         return self._value
 
+    def _expired(self) -> bool:
+        """Whether the deadline elapsed; an expired item frees its key.
+
+        Checked under the pool's dedup lock, so a waiter cannot attach
+        (and widen the deadline) between the check and the release — and
+        an identical later request starts a fresh item instead of
+        attaching to this one.
+        """
+        pool = self._pool
+        with pool._lock if pool is not None else nullcontext():
+            if self.deadline is None or time.monotonic() <= self.deadline:
+                return False
+            if pool is not None:
+                pool._forget(self)
+            return True
+
     def _run(self) -> None:
         registry = metrics()
-        if self._deadline is not None and time.monotonic() > self._deadline:
+        if self._expired():
             registry.counter("serve.deadline_expired").inc()
             self._resolve(error=DeadlineExceeded(
                 "deadline elapsed while queued"
@@ -132,8 +168,8 @@ class WorkItem:
             else:
                 self._resolve(value=value)
         if (
-            self._deadline is not None
-            and time.monotonic() > self._deadline
+            self.deadline is not None
+            and time.monotonic() > self.deadline
         ):
             registry.counter("serve.deadline_overruns").inc()
         registry.timer("serve.work_seconds").observe(
@@ -178,6 +214,22 @@ class _PriorityQueue:
             timeout: Optional[float] = None) -> None:
         """`queue.Queue`-shaped alias (tests inject items directly)."""
         self.put_nowait(item)
+
+    def promote(self, item: WorkItem, level: int) -> bool:
+        """Move a still-queued ``item`` up to ``level``.
+
+        Returns ``False`` when a worker already picked the item up.  The
+        item keeps its enqueue time, so the aging floor still sees its
+        full wait.
+        """
+        with self._lock:
+            try:
+                self._levels[item.priority].remove(item)
+            except ValueError:
+                return False
+            item.priority = level
+            self._levels[level].append(item)
+            return True
 
     def _pick(self) -> Optional[WorkItem]:
         """The next item under strict priority + aging (lock held)."""
@@ -245,6 +297,11 @@ class WorkerPool:
         self._queue = _PriorityQueue(queue_size, aging_seconds)
         self._workers = workers
         self._closed = False
+        #: Dedup table: key -> the queued or running item it names.
+        #: Guards attaching and every key release (taken before the
+        #: queue's own lock, never after it).
+        self._lock = threading.Lock()
+        self._keys: Dict[str, WorkItem] = {}
         # EWMAs feeding the Retry-After estimate and the brownout
         # controller's queue-delay signal.
         self._ewma_seconds = 0.05
@@ -295,10 +352,16 @@ class WorkerPool:
     def submit(
         self,
         fn: Callable[[], Any],
+        *,
+        key: Optional[str] = None,
         deadline_seconds: Optional[float] = None,
         priority: int = DEFAULT_PRIORITY,
     ) -> WorkItem:
-        """Admit ``fn``; raises :class:`PoolSaturated` when the queue is full."""
+        """Admit ``fn``; raises :class:`PoolSaturated` when the queue is full.
+
+        A ``key`` that matches a queued or running item attaches to that
+        item instead: one run, one shared value for every waiter.
+        """
         if self._closed:
             raise ReproError("worker pool is shut down")
         deadline = (
@@ -306,10 +369,22 @@ class WorkerPool:
             if deadline_seconds is not None
             else None
         )
-        item = WorkItem(fn, deadline, priority=priority)
-        try:
-            self._queue.put_nowait(item)
-        except queue.Full:
+        priority = min(max(priority, 0), PRIORITY_LEVELS - 1)
+        with self._lock:
+            item = self._keys.get(key) if key is not None else None
+            if item is not None:
+                depths_changed = self._attach(item, deadline, priority)
+            else:
+                depths_changed = True
+                item = WorkItem(fn, deadline, priority, key=key, pool=self)
+                try:
+                    self._queue.put_nowait(item)
+                except queue.Full:
+                    item = None
+                else:
+                    if key is not None:
+                        self._keys[key] = item
+        if item is None:
             metrics().counter("serve.rejected").inc()
             retry = self.retry_after()
             _LOG.warning(
@@ -319,9 +394,51 @@ class WorkerPool:
             raise PoolSaturated(
                 f"admission queue full ({self._queue.maxsize} pending)",
                 retry_after=retry,
-            ) from None
-        self._record_depths()
+            )
+        if depths_changed:
+            self._record_depths()
         return item
+
+    def _attach(
+        self, item: WorkItem, deadline: Optional[float], priority: int
+    ) -> bool:
+        """One more waiter on ``item`` (lock held); whether it moved up.
+
+        The deadline widens to the loosest waiter's (``None`` wins); a
+        more urgent waiter moves a still-queued item to its level.
+        """
+        registry = metrics()
+        registry.counter("serve.dedup.hits").inc()
+        item.waiters += 1
+        if item.deadline is not None:
+            item.deadline = (
+                None if deadline is None else max(item.deadline, deadline)
+            )
+        if priority < item.priority and self._queue.promote(item, priority):
+            registry.counter("serve.dedup.promoted").inc()
+            return True
+        return False
+
+    def _forget(self, item: WorkItem) -> None:
+        """Unregister ``item``'s key (lock held) so new submissions start
+        a fresh item."""
+        if item.key is not None and self._keys.get(item.key) is item:
+            del self._keys[item.key]
+
+    def _release(self, item: WorkItem) -> None:
+        """Free ``item``'s key after a pickup; fail it if it never resolved.
+
+        :meth:`WorkItem._run` contains the work function's failures, so
+        an item still unresolved here means the worker thread itself is
+        dying (infrastructure error, injected kill).  Its waiters get a
+        typed error instead of a hang, and the key is not left poisoned
+        for future identical requests.
+        """
+        with self._lock:
+            self._forget(item)
+        if not item.done:
+            metrics().counter("serve.pool.orphaned").inc()
+            item._resolve(error=ReproError("pool worker died mid-request"))
 
     def _record_depths(self) -> None:
         registry = metrics()
@@ -361,7 +478,10 @@ class WorkerPool:
             queued = time.monotonic() - item.enqueued
             metrics().timer("serve.queue_seconds").observe(queued)
             started = time.monotonic()
-            item._run()
+            try:
+                item._run()
+            finally:
+                self._release(item)
             elapsed = time.monotonic() - started
             with self._ewma_lock:
                 self._ewma_seconds += 0.2 * (elapsed - self._ewma_seconds)

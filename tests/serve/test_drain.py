@@ -76,7 +76,7 @@ class TestParkAndResume:
     ):
         state = tmp_path / "state"
         # Generations sized so the job is still running when the drain
-        # reaches the job store (the HTTP/batcher/pool stages ahead of
+        # reaches the job store (the HTTP and pool stages ahead of
         # it take up to ~2s; the toy system runs ~170 generations/s).
         params = dict(generations=800, population=8, seed=3,
                       checkpoint_every=1)

@@ -50,12 +50,24 @@ class TestRequestDigest:
         )
 
     def test_suite_name_and_inline_payload_coalesce(self):
+        # Suites carry no mapping, so explore (which builds one) is the
+        # endpoint a suite name is a valid request for.
         inline = bundle_to_payload(load("cruise"))
-        by_name, _ = parse_analyze_request({"system": "cruise"})
-        by_payload, _ = parse_analyze_request({"system": inline})
-        assert request_digest("analyze", by_name) == request_digest(
-            "analyze", by_payload
+        by_name = parse_explore_request({"system": "cruise"})
+        by_payload = parse_explore_request({"system": inline})
+        assert request_digest("explore", by_name) == request_digest(
+            "explore", by_payload
         )
+
+    @pytest.mark.parametrize(
+        "parse", [parse_analyze_request, parse_simulate_request]
+    )
+    def test_mapping_less_system_rejected_at_parse(self, parse):
+        with pytest.raises(ReproError, match="cruise carries no mapping"):
+            parse({"system": "cruise"})
+        inline = bundle_to_payload(load("cruise"))
+        with pytest.raises(ReproError, match="system carries no mapping"):
+            parse({"system": inline})
 
     def test_dropped_string_and_list_coalesce(self, bundle):
         payload = bundle_to_payload(bundle)

@@ -19,6 +19,11 @@ def _counter(name):
     return metrics().counter(name).value
 
 
+def _pickups():
+    """Items the pool's workers have picked up (``serve.queue_seconds``)."""
+    return metrics().timer("serve.queue_seconds").count
+
+
 def _plug_pool(server):
     """Occupy every pool worker until the returned event is set."""
     release = threading.Event()
@@ -267,7 +272,7 @@ class TestErrorContract:
         system["applications"]["graphs"][0]["tasks"][0]["wcet"] = float("nan")
         body = json.dumps({"system": system}).encode()
         assert b"NaN" in body
-        batches = _counter("serve.batches")
+        pickups = _pickups()
         request = urllib.request.Request(
             client.base_url + "/v1/analyze",
             data=body,
@@ -280,8 +285,8 @@ class TestErrorContract:
         error = json.loads(info.value.read())["error"]
         assert error["type"] == "ModelError"
         assert "wcet must be a finite number" in error["message"]
-        # Rejected at admission: nothing reached the batcher.
-        assert _counter("serve.batches") == batches
+        # Rejected at parse: no worker picked anything up.
+        assert _pickups() == pickups
 
     def test_unknown_field_400(self, client, bundle):
         with pytest.raises(ServeError) as info:
@@ -291,27 +296,27 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("value", ["false", "no", 1, None])
     def test_non_boolean_bus_contention_400(self, client, bundle, value):
-        batches = _counter("serve.batches")
+        pickups = _pickups()
         with pytest.raises(ServeError) as info:
             client.analyze(bundle, bus_contention=value)
         assert info.value.status == 400
         assert "unknown field(s) for /v1/analyze: bus_contention" in str(
             info.value
         )
-        # Rejected at admission: nothing reached the batcher.
-        assert _counter("serve.batches") == batches
+        # Rejected at parse: no worker picked anything up.
+        assert _pickups() == pickups
 
     @pytest.mark.parametrize("endpoint", ["analyze", "simulate", "explore"])
     @pytest.mark.parametrize("system, field", MALFORMED_SYSTEMS)
     def test_malformed_system_400(self, client, endpoint, system, field):
-        batches = _counter("serve.batches")
+        pickups = _pickups()
         with pytest.raises(ServeError) as info:
             getattr(client, endpoint)(system)
         assert info.value.status == 400
         assert info.value.error_type == "ModelError"
         assert field in str(info.value)
-        # Rejected at admission: nothing reached the batcher.
-        assert _counter("serve.batches") == batches
+        # Rejected at parse: no worker picked anything up.
+        assert _pickups() == pickups
 
     @pytest.mark.parametrize("endpoint", ["analyze", "simulate", "explore"])
     def test_unknown_comm_backend_400(self, client, bundle, endpoint):
@@ -319,14 +324,14 @@ class TestErrorContract:
 
         system = bundle_to_payload(bundle)
         system["architecture"]["interconnect"]["comm_backend"] = "bogus"
-        batches = _counter("serve.batches")
+        pickups = _pickups()
         with pytest.raises(ServeError) as info:
             getattr(client, endpoint)(system)
         assert info.value.status == 400
         assert "unknown comm backend 'bogus'" in str(info.value)
         assert "bus-jobs" in str(info.value)
-        # Rejected at admission: nothing reached the batcher.
-        assert _counter("serve.batches") == batches
+        # Rejected at parse: no worker picked anything up.
+        assert _pickups() == pickups
 
     def test_bus_contention_over_shared_bus_400(self, client, bundle):
         from repro.comm import with_comm
@@ -337,12 +342,12 @@ class TestErrorContract:
             bundle.mapping,
             bundle.plan,
         )
-        batches = _counter("serve.batches")
+        pickups = _pickups()
         with pytest.raises(ServeError) as info:
             client.analyze(shared, bus_contention=True)
         assert info.value.status == 400
         assert "bus_contention" in str(info.value)
-        assert _counter("serve.batches") == batches
+        assert _pickups() == pickups
 
     def test_saturated_pool_429_with_retry_after(self, server, client, bundle):
         # Plug every worker, then fill the admission queue to the brim.
@@ -359,3 +364,46 @@ class TestErrorContract:
             assert info.value.retry_after >= 1
         finally:
             release.set()
+
+    @pytest.mark.parametrize("endpoint", ["analyze", "simulate"])
+    def test_mapping_less_system_400_before_the_pool(self, client, endpoint):
+        pickups = _pickups()
+        with pytest.raises(ServeError) as info:
+            getattr(client, endpoint)("cruise")
+        assert info.value.status == 400
+        assert "cruise carries no mapping" in str(info.value)
+        assert _pickups() == pickups
+
+
+class TestOneQueue:
+    def test_request_is_queued_when_submit_returns(self, server, bundle):
+        """The request thread's own submit puts the item in the pool's
+        queue: no second queue or dispatch thread sits in between."""
+        from repro.serve.encoding import bundle_to_payload
+
+        seen = []
+        submit = server.pool.submit
+
+        def spy(*args, **kwargs):
+            item = submit(*args, **kwargs)
+            seen.append(
+                (threading.current_thread().name, server.pool.queue_depth)
+            )
+            return item
+
+        release = _plug_pool(server)
+        server.pool.submit = spy
+        request = threading.Thread(
+            target=server.handle_analyze,
+            args=({"system": bundle_to_payload(bundle)},),
+            name="request-thread",
+        )
+        try:
+            request.start()
+            deadline = time.monotonic() + 10.0
+            while not seen and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert seen == [("request-thread", 1)]
+        finally:
+            release.set()
+            request.join(30.0)

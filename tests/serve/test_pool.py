@@ -81,3 +81,43 @@ class TestDeadlines:
 
     def test_met_deadline_still_runs(self, pool):
         assert pool.submit(lambda: 7, deadline_seconds=30.0).result(5.0) == 7
+
+
+class TestPromotion:
+    def test_critical_waiter_promotes_queued_item(self):
+        """A critical waiter attaching to a standard item queued behind
+        another standard item moves it ahead of that item."""
+        pool = WorkerPool(workers=1, queue_size=8, aging_seconds=60.0)
+        try:
+            release = _block_worker(pool)
+            order = []
+            first = pool.submit(lambda: order.append("first"), key="first")
+            second = pool.submit(lambda: order.append("second"), key="second")
+            attached = pool.submit(
+                lambda: order.append("again"), key="second", priority=0
+            )
+            assert attached is second
+            assert second.priority == 0
+            assert pool.class_depths() == {0: 1, 1: 1, 2: 0}
+            release.set()
+            first.result(5.0)
+            second.result(5.0)
+            assert order == ["second", "first"]
+        finally:
+            pool.shutdown()
+
+    def test_running_item_is_not_promoted(self, pool):
+        release = _block_worker(pool)
+        try:
+            entered = threading.Event()
+            gate = threading.Event()
+            running = pool.submit(
+                lambda: (entered.set(), gate.wait(5.0)), key="busy"
+            )
+            release.set()
+            assert entered.wait(5.0)
+            assert pool.submit(lambda: None, key="busy", priority=0) is running
+            assert running.priority == 1  # already past queueing
+        finally:
+            release.set()
+            gate.set()

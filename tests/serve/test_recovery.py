@@ -2,8 +2,8 @@
 
 Three fault surfaces the chaos campaign exercises statistically are
 pinned down deterministically here: ``recover()`` racing live traffic,
-a pool worker dying on infrastructure errors, and a batch worker dying
-mid-batch with waiters attached.
+a pool worker dying on infrastructure errors, and a pool worker dying
+mid-request with dedup waiters attached.
 """
 
 import json
@@ -16,10 +16,9 @@ import pytest
 
 from repro.errors import ReproError
 from repro.obs.metrics import metrics
-from repro.serve.batcher import Batcher, BatchEntry
 from repro.serve.encoding import bundle_to_payload, parse_explore_request
 from repro.serve.jobs import Job, JobStore
-from repro.serve.pool import WorkerPool
+from repro.serve.pool import WorkItem, WorkerPool
 
 
 def _explore_params(bundle, **overrides):
@@ -146,11 +145,10 @@ class TestRecoveryRaces:
 
 class TestPoolWorkerDeath:
     def test_worker_survives_infrastructure_error(self):
-        class _Poisoned:
-            # Quacks like a WorkItem up to the point where running it
-            # blows up the worker thread itself.
+        class _Poisoned(WorkItem):
+            # A WorkItem whose run blows up the worker thread itself.
             def __init__(self):
-                self.enqueued = time.monotonic()
+                super().__init__(lambda: None, None)
 
             def _run(self):
                 raise MemoryError("injected infrastructure failure")
@@ -175,31 +173,30 @@ class TestBatchWorkerDeath:
     def test_dead_batch_worker_fails_waiters_without_poisoning_key(
         self, monkeypatch
     ):
-        original_run = BatchEntry.run
+        original_run = WorkItem._run
         armed = {"doomed": True}
 
         def exploding_run(self):
             if self.key == "doomed" and armed["doomed"]:
                 armed["doomed"] = False
-                raise MemoryError("injected batch-worker death")
+                raise MemoryError("injected pool-worker death")
             return original_run(self)
 
-        monkeypatch.setattr(BatchEntry, "run", exploding_run)
+        monkeypatch.setattr(WorkItem, "_run", exploding_run)
         pool = WorkerPool(workers=1, queue_size=8)
-        batcher = Batcher(pool, max_batch=4, window_seconds=0.01)
         try:
-            orphaned_before = metrics().counter("serve.batch.orphaned").value
-            entry = batcher.submit("doomed", lambda: "never")
-            with pytest.raises(ReproError, match="died mid-batch"):
-                entry.result(timeout=30.0)
+            orphaned_before = metrics().counter("serve.pool.orphaned").value
+            item = pool.submit(lambda: "never", key="doomed")
+            with pytest.raises(ReproError, match="died mid-request"):
+                item.result(timeout=30.0)
             assert (
-                metrics().counter("serve.batch.orphaned").value
+                metrics().counter("serve.pool.orphaned").value
                 == orphaned_before + 1
             )
             # The key must not stay registered as in-flight: the next
-            # identical request gets a fresh entry and a real answer.
-            retry = batcher.submit("doomed", lambda: "recovered")
+            # identical request gets a fresh item and a real answer.
+            retry = pool.submit(lambda: "recovered", key="doomed")
+            assert retry is not item
             assert retry.result(timeout=30.0) == "recovered"
         finally:
-            batcher.shutdown()
             pool.shutdown()

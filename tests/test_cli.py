@@ -111,8 +111,12 @@ class TestAnalyze:
             ["analyze", "{system}", "--bus-contention"],
             ["analyze", "{system}", "--no-fast-path"],
             ["submit", "analyze", "{system}", "--bus-contention"],
+            ["serve", "--max-batch", "4"],
         ),
-        ids=("analyze-bus-contention", "analyze-no-fast-path", "submit"),
+        ids=(
+            "analyze-bus-contention", "analyze-no-fast-path", "submit",
+            "serve-max-batch",
+        ),
     )
     def test_removed_flags_exit_2(self, system_file, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
@@ -310,6 +314,35 @@ class TestSubmitTables:
                 )
         finally:
             server.close()
+
+    def test_submit_marks_brownout_answers(self, system_file, capsys):
+        """A degraded (brownout stage-2) answer prints one more line than
+        the local table; the local table never carries it."""
+        from repro.serve import ReproServer, ServeConfig
+
+        server = ReproServer(
+            ServeConfig(
+                port=0, workers=1, brownout=True, brownout_dwell=3600.0
+            )
+        )
+        server.admission.brownout._stage = 2
+        server.start()
+        try:
+            main(["analyze", system_file])
+            local = capsys.readouterr().out
+            main(["submit", "analyze", system_file, "--server", server.url])
+            served = capsys.readouterr().out
+        finally:
+            server.close()
+        marker = (
+            "degraded: brownout fallback bounds (window back-end, "
+            "no shared cache)"
+        )
+        assert marker not in local
+        assert served.splitlines().count(marker) == 1
+        assert sorted(served.splitlines()) == sorted(
+            local.splitlines() + [marker]
+        )
 
 
 class TestExportAndGenerate:

@@ -6,6 +6,8 @@ so equivalent spellings are *provably* the same exploration (equal
 configs, equal canonical options, equal digests).
 """
 
+import functools
+
 import pytest
 
 from repro.cli import _explore_request_from_args, build_parser
@@ -188,20 +190,42 @@ _CLI_DOORS = (
     ["submit", "explore", "cruise"],
 )
 
-#: Digests of the default served bodies, recorded before the back-end
-#: names moved into one table; every spelling must keep producing them.
+#: Digests of the default served bodies; every spelling must keep
+#: producing them.  The explore digest was recorded before the back-end
+#: names moved into one table.  Analyze requests need a mapped system,
+#: so the analyze digest is over cruise with its reference plan and
+#: first sample mapping (the same digest the parser gave before
+#: mapping-less systems were rejected at parse time).
 _DEFAULT_ANALYZE_DIGEST = (
-    "f35118cec9164a15e914d664f18844ff4b4a522a10c5915eb6ef2d0c6d18e398"
+    "f1a031f2651dc69fedda14164435c0aa6be7d233623436923c10e5d35daf04d2"
 )
 _DEFAULT_EXPLORE_DIGEST = (
     "3392a004bc5862835accbdb105e7535184752bfec8f5530d887c3da49a2d1ebc"
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _mapped_cruise():
+    from repro.api import load
+    from repro.model.serialization import SystemBundle, bundle_to_payload
+    from repro.suites.cruise import (
+        cruise_reference_plan,
+        cruise_sample_mappings,
+    )
+
+    base = load("cruise")
+    return bundle_to_payload(SystemBundle(
+        base.applications,
+        base.architecture,
+        cruise_sample_mappings()[1][0],
+        cruise_reference_plan(),
+    ))
+
+
 def _served_analyze(backend):
     from repro.serve.encoding import parse_analyze_request
 
-    body = {"system": "cruise"}
+    body = {"system": _mapped_cruise()}
     if backend is not None:
         body["backend"] = backend
     params, _bundle = parse_analyze_request(body)
@@ -373,14 +397,13 @@ class TestSystemSources:
 
     def test_served_parse(self, sources):
         from repro.serve.client import _system_payload
-        from repro.serve.encoding import parse_analyze_request
 
+        # These sources carry no mapping, so explore is the served door
+        # that accepts all four (analyze and simulate answer 400).
         def served(source):
-            params, bundle = parse_analyze_request(
+            return parse_explore_request(
                 {"system": _system_payload(source)}, allow_paths=True
-            )
-            assert params["system"] == self._payload(bundle)
-            return params["system"]
+            )["system"]
 
         self._resolved(sources, served)
 
