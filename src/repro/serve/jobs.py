@@ -183,8 +183,9 @@ class JobStore:
         self._wakeup = threading.Condition(self._lock)
         self._closed = False
         self._draining = False
-        #: Jobs this process has claimed and run (their in-memory record
-        #: is authoritative; everything else may be refreshed from disk).
+        #: Jobs this process's runner has taken from its queue, from the
+        #: moment it pops them (their in-memory record is authoritative;
+        #: everything else may be refreshed from disk).
         self._owned: set = set()
         self._threads = [
             threading.Thread(
@@ -449,10 +450,13 @@ class JobStore:
     def get(self, job_id: str) -> Optional[Job]:
         """The job record, or ``None`` for an unknown id.
 
-        Records this process owns (it ran them) or that reached a
-        terminal state are served from memory; anything else may be
-        progressing in a sibling worker, so the on-disk record — the
-        cross-process source of truth — is re-read.
+        Records this process owns or that reached a terminal state are
+        served from memory; anything else may be progressing in a
+        sibling worker, so the on-disk record — the cross-process source
+        of truth — is re-read.  A job counts as owned from the moment
+        this process's runner takes it from its queue, before it claims
+        the job on disk: the runner runs the very object it took, so
+        that object must stay the one served.
         """
         with self._lock:
             job = self._jobs.get(job_id)
@@ -488,7 +492,6 @@ class JobStore:
         self._mark_cancel(job_id)
         with self._lock:
             known = self._jobs.get(job_id)
-            owned = job_id in self._owned
         if known is None:
             # Disk-only record owned by a sibling; the marker is the
             # cancellation. Reflect the request in the returned copy.
@@ -500,8 +503,10 @@ class JobStore:
         with self._lock:
             job.cancel_requested = True
             if job.status == "pending":
-                # Only cancel in place if no sibling has claimed it.
-                if owned or self._try_claim(job_id):
+                # Only cancel in place if no sibling has claimed it (a
+                # job this runner took is owned before its claim lands,
+                # so ask the claim file; our own claim always yields).
+                if self._try_claim(job_id):
                     job.status = "cancelled"
                     job.finished = time.time()
                     if job_id in self._queue:
@@ -546,16 +551,21 @@ class JobStore:
                 job = self._jobs[self._queue.pop(0)]
                 if job.status != "pending":
                     continue
+                # Owned from here on, so a concurrent get() cannot swap
+                # in a disk copy while this thread holds ``job``.
+                self._owned.add(job.id)
             # Claim outside the lock (file I/O); a sibling worker that
             # recovered the same record may be racing us for it.
             if not self._try_claim(job.id):
+                with self._lock:
+                    self._owned.discard(job.id)
                 continue
             fresh = self._load_record(job.id)
             if fresh is not None and fresh.status not in ("pending", "running"):
                 # Finished or cancelled elsewhere while queued here.
                 with self._lock:
-                    if job.id not in self._owned:
-                        self._jobs[job.id] = fresh
+                    self._owned.discard(job.id)
+                    self._jobs[job.id] = fresh
                 self._release_claim(job.id)
                 continue
             with self._lock:
@@ -564,7 +574,6 @@ class JobStore:
                     continue
                 job.status = "running"
                 job.started = time.time()
-                self._owned.add(job.id)
             self._save(job)
             try:
                 self._run_job(job)

@@ -64,6 +64,27 @@ class TestLifecycle:
         generation = latest_snapshot_generation(store.checkpoint_dir(job.id))
         assert generation is not None and generation >= 2
 
+    def test_poll_between_take_and_claim_keeps_runner_record(
+        self, store, bundle, monkeypatch
+    ):
+        # A poll landing after the runner took the job from its queue but
+        # before it claimed it must not swap in a disk copy: the runner
+        # runs the object it took, so a swapped-in copy stays 'pending'.
+        claim = store._try_claim
+        polled = []
+
+        def poll_then_claim(job_id):
+            polled.append(store.get(job_id).status)
+            return claim(job_id)
+
+        monkeypatch.setattr(store, "_try_claim", poll_then_claim)
+        job = store.create(
+            _explore_params(bundle, generations=2, population=4)
+        )
+        assert store.wait_idle(timeout=30.0)
+        assert polled == ["pending"]
+        assert store.get(job.id).status == "done"
+
 
 class TestCancellation:
     def test_pending_job_cancels_immediately(self, store, bundle):
